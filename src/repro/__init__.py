@@ -91,8 +91,7 @@ def schedules():
     "kernels": tuple}}`` — one entry per registered
     :class:`~repro.simulator.scheduling.Scheduler`.  ``kernels`` lists
     the compiled whole-frontier kernels a schedule can execute
-    (non-empty only for ``"vectorized"``, and only when numpy is
-    importable).  The CLI's ``--schedule`` choices and
+    (non-empty only for ``"vectorized"``).  The CLI's ``--schedule`` choices and
     :class:`ExecutionPolicy` validation are derived from the same
     registry, so this is the authoritative list::
 

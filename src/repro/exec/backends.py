@@ -22,10 +22,18 @@ dispatched work item *is*:
   CSR topology crossing the pool boundary ships once as a shared-memory
   segment and each cell pickles down to a ~100-byte handle (measured
   into the rows' ``ship_bytes``/``shared_bytes`` columns).
-* ``shard="components"`` — eligible cells (see
-  :func:`repro.shard.plan.shard_mode`) expand into one work item per
-  component shard, spreading a single huge-graph cell across the pool;
-  the partials merge back into one bit-identical row.
+* ``shard="components"`` / ``shard="edgecut"`` — eligible cells (see
+  :func:`_shard_kind`) run as shards.  Component shards are independent,
+  so on the process backend they become one pool work item each and
+  their rows merge back into one bit-identical row; edge-cut shards are
+  coupled by a per-round barrier, so each such cell runs as one unit
+  whose shard drivers the parent coordinates (see
+  :mod:`repro.shard.edgecut`).
+
+Every cell takes one dispatch (:func:`_run_cell`), and every run becomes
+a row in one place (:func:`repro.exec.results.cell_row`).  The serial
+backend, the process backend and the fallback when the platform denies
+spawning differ only in whether shard drivers are threads or processes.
 """
 
 from __future__ import annotations
@@ -44,25 +52,17 @@ from repro.exec.cache import (
     configure_process_cache,
     process_cache,
 )
-from repro.exec.plan import Cell, FaultSpec, Spec, Sweep, derive_cell_seed
-from repro.exec.results import CellResult, SweepResult
+from repro.exec.plan import Cell, Spec, Sweep, derive_cell_seed
+from repro.exec.results import CellResult, SweepResult, cell_row
 from repro.obs.events import MemoryEventSink, write_jsonl_events
 from repro.shard.edgecut import execute_edgecut_cell
-from repro.shard.plan import (
-    ShardPartial,
-    execute_shard,
-    merge_partials,
-    shard_mode,
-)
+from repro.shard.plan import execute_shard, merge_partials, shard_mode
 from repro.shard.store import SharedCSRStore, reset_worker_state
 
-#: A dispatched unit of work: an entire cell, or one component shard.
-#: ``("cell", index, cell, seed)`` /
+#: A pool work item: an entire cell, or one component shard.
+#: ``("cell", index, cell, seed, profile, events)`` /
 #: ``("shard", index, cell, seed, shard, shard_count)``.
-#: ``shard="edgecut"`` cells never become pool items — their shards are
-#: coupled by a per-round barrier, so they run as one unit (threads on
-#: the serial backend, dedicated processes driven by the parent on the
-#: process backend; see :mod:`repro.shard.edgecut`).
+#: Edge-cut cells never become pool items (see the module docstring).
 WorkItem = Tuple[Any, ...]
 
 
@@ -88,9 +88,11 @@ def execute(
     cell label, in cell order — as one JSONL file.
 
     The returned :class:`SweepResult` records both the requested and the
-    *effective* backend: a process-backend request runs serially for
-    single-cell sweeps and on platforms that cannot spawn workers, and
-    reports so instead of claiming parallelism it didn't have.
+    *effective* backend: a process-backend request runs serially for a
+    single unsharded cell and on platforms that cannot spawn workers,
+    and reports so instead of claiming parallelism it didn't have.
+    Sharded cells follow the requested backend — on ``"process"`` their
+    shards run in worker processes even when the sweep has one cell.
     """
     if backend not in ("serial", "process"):
         raise ValueError(f"backend must be 'serial' or 'process', got {backend!r}")
@@ -108,9 +110,12 @@ def execute(
         for index, cell in enumerate(sweep.cells)
     ]
     shard_count = max(1, jobs or os.cpu_count() or 2)
+    sharded = any(
+        _shard_kind(cell, profile, events, shard_count) for _, cell, _ in tagged
+    )
     start = time.perf_counter()
     shared_bytes = 0
-    if backend == "serial" or len(tagged) <= 1:
+    if backend == "serial" or (len(tagged) <= 1 and not sharded):
         effective = "serial"
         # ``is not None``, not truthiness: a fresh caller-supplied cache
         # is empty and ArtifactCache defines ``__len__``.
@@ -119,13 +124,9 @@ def execute(
             if cache is not None
             else ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
         )
-        rows = [
-            _execute_cell_any(
-                index, cell, seed, local_cache, profile, events, shard_count
-            )
-            for index, cell, seed in tagged
-        ]
-        stats = local_cache.stats()
+        rows, stats = _execute_serial(
+            tagged, local_cache, profile, events, shard_count
+        )
     else:
         store = None
         if any(cell.config.policy.share_graph for _, cell, _ in tagged):
@@ -240,6 +241,19 @@ def _resolved_seed(sweep: Sweep, index: int, cell: Cell) -> int:
 # ----------------------------------------------------------------------
 # Per-cell execution (shared verbatim by both backends)
 # ----------------------------------------------------------------------
+def _shard_kind(
+    cell: Cell, profile: bool, events: bool, shard_count: int
+) -> Optional[str]:
+    """How a cell runs: ``"components"``, ``"edgecut"``, or ``None`` for
+    one engine.  Edge-cut cells also take one engine when there is a
+    single shard (``jobs=1``) or a trace to record — both need the whole
+    graph in one place."""
+    kind = shard_mode(cell, profile=profile, events=events)
+    if kind == "edgecut" and (shard_count < 2 or cell.config.trace):
+        return None
+    return kind
+
+
 def _execute_cell(
     index: int,
     cell: Cell,
@@ -248,20 +262,12 @@ def _execute_cell(
     profile: bool = False,
     events: bool = False,
 ) -> CellResult:
-    cell_start = time.perf_counter()
-    graph = cache.get_or_build(cell.graph.key, cell.graph.build)
-    predictions = None
-    if cell.predictions is not None:
-        spec = cell.predictions
-        predictions = cache.get_or_build(
-            f"{spec.key}@{cell.graph.key}", lambda: spec.build(graph)
-        )
+    """One cell in one engine."""
+    start = time.perf_counter()
+    graph, predictions = cell.inputs(cache)
     faults = cell.faults
-    if isinstance(faults, FaultSpec):
+    if isinstance(faults, Spec):  # a FaultSpec, or a generic Spec
         faults = faults.build(graph)
-    elif isinstance(faults, Spec):  # a generic Spec used for faults
-        faults = faults.build(graph)
-    algorithm = cell.algorithm.build()
     config = cell.config.with_overrides(seed=seed)
     if faults is not None:
         config = config.with_overrides(faults=faults)
@@ -269,57 +275,20 @@ def _execute_cell(
         config = config.with_overrides(profile=True)
     sink = MemoryEventSink() if events else None
     result = run(
-        algorithm,
+        cell.algorithm.build(),
         graph,
         predictions,
         config=config,
         sinks=[sink] if sink is not None else None,
     )
-
-    problem = None
-    valid = None
-    error = None
-    if cell.problem is not None:
-        from repro.problems import get_problem
-
-        problem = get_problem(cell.problem)
-        valid = problem.is_solution(graph, result.outputs)
-        if predictions is not None:
-            from repro.errors import eta1
-
-            error = eta1(graph, predictions, problem.name)
-    from repro.problems import solution_size as _solution_size
-
-    metrics: Dict[str, Any] = {}
-    if cell.metrics is not None:
-        metrics = dict(cell.metrics(problem, graph, predictions, result))
-    return CellResult(
-        index=index,
-        label=cell.label,
-        graph_name=graph.name,
-        n=graph.n,
-        seed=seed,
-        rounds=result.rounds,
-        rounds_executed=result.rounds_executed,
-        valid=valid,
-        error=error,
-        message_count=result.message_count,
-        dropped_messages=result.dropped_messages,
-        delayed_messages=result.delayed_messages,
-        retried_messages=result.retried_messages,
-        kernel=getattr(result, "kernel", None),
-        stuck=result.stuck is not None,
-        solution_size=_solution_size(
-            result.outputs, problem.name if problem is not None else None
-        ),
-        metrics=metrics,
-        elapsed=time.perf_counter() - cell_start,
-        profile=result.profile.summary() if result.profile is not None else None,
+    return cell_row(
+        index, cell, seed, graph, predictions, result,
+        start=start,
         events=sink.entries if sink is not None else None,
     )
 
 
-def _execute_cell_any(
+def _run_cell(
     index: int,
     cell: Cell,
     seed: int,
@@ -327,62 +296,46 @@ def _execute_cell_any(
     profile: bool,
     events: bool,
     shard_count: int,
+    drivers: str,
 ) -> CellResult:
-    """One cell on the current process: sharded (run + merge in place)
-    when its policy and features allow, unsharded otherwise.
+    """The one dispatch: a cell on this process, sharded as its policy
+    and features allow.
 
-    The serial spelling of the sharded path — same split, same merge —
-    so ``backend="serial"`` stays row-for-row identical to the pool and
-    the differential fuzz can compare all four combinations cheaply.
+    Component shards run one after another here and merge in place —
+    the serial spelling of the pool's split, so every backend yields the
+    same rows.  ``drivers`` (``"thread"`` or ``"process"``) is what runs
+    an edge-cut cell's shards.
     """
-    mode = shard_mode(cell, profile=profile, events=events)
-    if mode is None:
-        return _execute_cell(index, cell, seed, cache, profile, events)
-    if mode == "edgecut":
-        return _execute_edgecut_any(
-            index, cell, seed, cache, shard_count, "thread", profile, events
+    kind = _shard_kind(cell, profile, events, shard_count)
+    if kind == "edgecut":
+        return execute_edgecut_cell(
+            index, cell, seed, shard_count, mode=drivers, cache=cache
         )
-    partials = [
-        execute_shard(index, cell, seed, shard, shard_count, cache)
-        for shard in range(shard_count)
-    ]
-    return merge_partials(index, cell, seed, partials)
+    if kind == "components":
+        return merge_partials(
+            [
+                execute_shard(index, cell, seed, shard, shard_count, cache)
+                for shard in range(shard_count)
+            ]
+        )
+    return _execute_cell(index, cell, seed, cache, profile, events)
 
 
-def _execute_edgecut_any(
-    index: int,
-    cell: Cell,
-    seed: int,
+def _execute_serial(
+    tagged: List[Tuple[int, Cell, int]],
     cache: ArtifactCache,
-    shard_count: int,
-    mode: str,
     profile: bool,
     events: bool,
-) -> CellResult:
-    """One ``shard="edgecut"`` cell, degrading gracefully to unsharded.
-
-    A single shard (``jobs=1``) or a trace request needs the whole graph
-    in one engine anyway, so those cells take the ordinary path; the
-    process mode additionally falls back to in-process threads when the
-    platform cannot spawn workers (same contract as the pool itself).
-    """
-    if shard_count < 2 or cell.config.trace:
-        return _execute_cell(index, cell, seed, cache, profile, events)
-    if mode == "process":
-        try:
-            return execute_edgecut_cell(
-                index, cell, seed, shard_count, mode="process", cache=cache
-            )
-        except (OSError, PermissionError) as exc:
-            warnings.warn(
-                f"edge-cut shard processes unavailable ({exc}); "
-                f"running cell {cell.label!r} on in-process threads",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return execute_edgecut_cell(
-        index, cell, seed, shard_count, mode="thread", cache=cache
-    )
+    shard_count: int,
+) -> Tuple[List[CellResult], Dict[str, int]]:
+    """Every cell in this process, edge-cut shards on threads."""
+    rows = [
+        _run_cell(
+            index, cell, seed, cache, profile, events, shard_count, "thread"
+        )
+        for index, cell, seed in tagged
+    ]
+    return rows, cache.stats()
 
 
 # ----------------------------------------------------------------------
@@ -398,8 +351,8 @@ def _init_worker(cache_size: int, cache_dir: Optional[str]) -> None:
     configure_process_cache(maxsize=cache_size, disk_dir=cache_dir)
 
 
-def _execute_item(item: WorkItem, cache: ArtifactCache) -> Any:
-    """One work item in a worker: a full cell row, or a shard partial."""
+def _execute_item(item: WorkItem, cache: ArtifactCache) -> CellResult:
+    """One work item in a worker: a cell's row, or one shard's row."""
     kind = item[0]
     if kind == "cell":
         _, index, cell, seed, profile, events = item
@@ -410,13 +363,9 @@ def _execute_item(item: WorkItem, cache: ArtifactCache) -> Any:
 
 def _run_chunk(
     task: Tuple[List[WorkItem], ...]
-) -> Tuple[List[Any], Dict[str, int]]:
-    """Execute one chunk in a worker; returns outputs + cache counters.
-
-    Outputs are heterogeneous — :class:`CellResult` rows for ``"cell"``
-    items, :class:`ShardPartial` for ``"shard"`` items; the parent
-    separates and merges.
-    """
+) -> Tuple[List[CellResult], Dict[str, int]]:
+    """Execute one chunk in a worker; returns its rows (in item order)
+    plus cache counters."""
     (items,) = task
     cache = process_cache()
     before = cache.stats()
@@ -455,10 +404,11 @@ def _drain_pool(
     workers: int,
     cache_size: int,
     cache_dir: Optional[str],
-    outputs: List[Any],
+    outputs: List[Tuple[WorkItem, CellResult]],
     stats: Dict[str, int],
 ) -> List[Tuple[List[WorkItem], BaseException]]:
-    """Run chunks on one fresh pool, collecting into ``outputs``/``stats``.
+    """Run chunks on one fresh pool, collecting ``(item, row)`` pairs into
+    ``outputs`` and cache counters into ``stats``.
 
     Returns the chunks (with the exception) whose workers the pool lost
     — a crashed worker poisons the whole executor, so every not-yet-run
@@ -486,7 +436,7 @@ def _drain_pool(
             except BrokenProcessPool as exc:
                 lost.append((chunk[0], exc))
                 continue
-            outputs.extend(chunk_outputs)
+            outputs.extend(zip(chunk[0], chunk_outputs))
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
     return lost
@@ -499,12 +449,11 @@ def _expand_items(
     events: bool,
 ) -> List[WorkItem]:
     """Work items in grid order: one per cell, or one per shard for
-    component-shardable cells (sharding only pays off across ≥ 2
-    workers).  Edge-cut cells are absent by construction — the caller
-    routes them to the parent-driven barrier execution instead."""
+    component-sharded cells.  Edge-cut cells are absent by construction
+    — the caller runs them with parent-coordinated shard drivers."""
     items: List[WorkItem] = []
     for index, cell, seed in tagged:
-        if shard_mode(cell, profile=profile, events=events) == "components":
+        if _shard_kind(cell, profile, events, shard_count) == "components":
             items.extend(
                 ("shard", index, cell, seed, shard, shard_count)
                 for shard in range(shard_count)
@@ -543,26 +492,24 @@ def _shared_bytes_for(cell: Cell, store: SharedCSRStore) -> Optional[int]:
 
 
 def _collect_rows(
-    tagged: List[Tuple[int, Cell, int]],
-    outputs: List[Any],
+    outputs: List[Tuple[WorkItem, CellResult]],
     failed: List[CellResult],
 ) -> List[CellResult]:
-    """Fold worker outputs into final rows: pass cell rows through,
-    merge shard partials per cell, let a failed shard fail its cell."""
+    """Fold worker rows into final rows: pass cell rows through, merge
+    each cell's shard rows in shard order, let a failed shard fail its
+    cell."""
     rows: List[CellResult] = []
-    partials: Dict[int, List[ShardPartial]] = {}
-    for output in outputs:
-        if isinstance(output, ShardPartial):
-            partials.setdefault(output.index, []).append(output)
+    shards: Dict[int, List[Tuple[int, CellResult]]] = {}
+    for item, row in outputs:
+        if item[0] == "shard":
+            shards.setdefault(row.index, []).append((item[4], row))
         else:
-            rows.append(output)
+            rows.append(row)
     failed_indexes = {row.index for row in failed}
-    by_index = {index: (cell, seed) for index, cell, seed in tagged}
-    for index, parts in partials.items():
-        if index in failed_indexes:
-            continue  # a lost shard already failed the whole cell
-        cell, seed = by_index[index]
-        rows.append(merge_partials(index, cell, seed, parts))
+    for index, parts in shards.items():
+        if index not in failed_indexes:  # else a lost shard failed the cell
+            parts.sort(key=lambda part: part[0])
+            rows.append(merge_partials([row for _, row in parts]))
     seen = {row.index for row in rows}
     rows.extend(row for row in failed if row.index not in seen)
     return rows
@@ -580,17 +527,22 @@ def _execute_process_pool(
     shard_count: int = 1,
     store: Optional[SharedCSRStore] = None,
 ) -> Tuple[List[CellResult], Dict[str, int], str]:
-    """Rows, cache counters and the backend that actually ran them."""
-    workers = jobs or os.cpu_count() or 2
-    workers = max(1, min(workers, len(tagged)))
-    edgecut_indexes = {
+    """Rows, cache counters and the backend that actually ran them.
+
+    Pool items (whole cells and component shards) run on the pool, then
+    edge-cut cells run here with one worker process per shard.  If the
+    platform denies spawning either kind of worker, the whole sweep
+    reruns serially — the same dispatch, with thread shard drivers.
+    """
+    edgecut = {
         index
         for index, cell, _ in tagged
-        if shard_mode(cell, profile=profile, events=events) == "edgecut"
+        if _shard_kind(cell, profile, events, shard_count) == "edgecut"
     }
-    edgecut_tagged = [e for e in tagged if e[0] in edgecut_indexes]
-    pool_tagged = [e for e in tagged if e[0] not in edgecut_indexes]
+    edgecut_tagged = [entry for entry in tagged if entry[0] in edgecut]
+    pool_tagged = [entry for entry in tagged if entry[0] not in edgecut]
     items = _expand_items(pool_tagged, shard_count, profile, events)
+    workers = max(1, min(jobs or os.cpu_count() or 2, len(items)))
     ship = _measure_shipping(items, store) if store is not None else {}
     if chunk_size is None:
         # ~4 waves per worker balances scheduling slack against IPC cost.
@@ -599,12 +551,11 @@ def _execute_process_pool(
         (items[i : i + chunk_size],)
         for i in range(0, len(items), chunk_size)
     ]
-    outputs: List[Any] = []
+    outputs: List[Tuple[WorkItem, CellResult]] = []
     failed: List[CellResult] = []
     stats: Dict[str, int] = {
         "hits": 0, "disk_hits": 0, "misses": 0, "corrupt": 0,
     }
-    effective = "process"
     try:
         lost = _drain_pool(
             chunks, workers, cache_size, cache_dir, outputs, stats
@@ -631,21 +582,17 @@ def _execute_process_pool(
                         _failed_cell_result(lost_item, exc)
                         for lost_item in chunk
                     )
-        rows = _collect_rows(pool_tagged, outputs, failed)
-        if edgecut_tagged:
-            # Edge-cut cells run here in the parent: their shards are one
-            # barrier-coupled unit (dedicated worker processes, parent as
-            # router), not independent pool items.
-            parent_cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
-            rows.extend(
-                _execute_edgecut_any(
-                    index, cell, seed, parent_cache, shard_count,
-                    "process", profile, events,
-                )
-                for index, cell, seed in edgecut_tagged
+        rows = _collect_rows(outputs, failed)
+        parent_cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
+        rows.extend(
+            _run_cell(
+                index, cell, seed, parent_cache, profile, events,
+                shard_count, "process",
             )
-            for key, value in parent_cache.stats().items():
-                stats[key] = stats.get(key, 0) + value
+            for index, cell, seed in edgecut_tagged
+        )
+        for key, value in parent_cache.stats().items():
+            stats[key] = stats.get(key, 0) + value
         if store is not None:
             # Tagged is enumerate-ordered, so ``tagged[i] == (i, cell, seed)``.
             for row in rows:
@@ -653,7 +600,7 @@ def _execute_process_pool(
                     continue
                 row.ship_bytes = ship.get(row.index)
                 row.shared_bytes = _shared_bytes_for(tagged[row.index][1], store)
-    except (OSError, PermissionError) as exc:
+    except OSError as exc:
         # Sandboxes and restricted CI runners sometimes forbid spawning
         # worker processes; the sweep still completes, just serially —
         # and the result says so (``backend="serial"``).
@@ -662,13 +609,9 @@ def _execute_process_pool(
             RuntimeWarning,
             stacklevel=2,
         )
-        effective = "serial"
         cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
-        rows = [
-            _execute_cell_any(
-                index, cell, seed, cache, profile, events, shard_count
-            )
-            for index, cell, seed in tagged
-        ]
-        stats = cache.stats()
-    return rows, stats, effective
+        rows, stats = _execute_serial(
+            tagged, cache, profile, events, shard_count
+        )
+        return rows, stats, "serial"
+    return rows, stats, "process"

@@ -237,6 +237,18 @@ class Cell:
     config: RunConfig = RunConfig()
     metrics: Optional[Callable[..., Mapping[str, Any]]] = None
 
+    def inputs(self, cache: Any) -> Tuple[Any, Optional[Any]]:
+        """The cell's ``(graph, predictions)``, built through ``cache``
+        (an :class:`~repro.exec.cache.ArtifactCache`) by content key."""
+        graph = cache.get_or_build(self.graph.key, self.graph.build)
+        if self.predictions is None:
+            return graph, None
+        spec = self.predictions
+        predictions = cache.get_or_build(
+            f"{spec.key}@{self.graph.key}", lambda: spec.build(graph)
+        )
+        return graph, predictions
+
 
 def derive_cell_seed(base_seed: int, index: int, label: str) -> int:
     """Deterministic per-cell seed, identical on every backend.

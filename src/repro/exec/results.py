@@ -18,6 +18,7 @@ instead of three hand-maintained lists drifting apart.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -205,6 +206,68 @@ class CellResult:
         )
 
 
+def cell_row(
+    index: int,
+    cell: Any,
+    seed: int,
+    graph: Any,
+    predictions: Any,
+    result: Any,
+    *,
+    start: float,
+    **columns: Any,
+) -> CellResult:
+    """Turn one executed run into its sweep row — the only place that does.
+
+    Verifies ``result.outputs`` against the cell's problem on ``graph``,
+    measures η₁ of ``predictions`` there, counts the solution, runs the
+    cell's custom metrics and copies the run's counters.  ``graph`` is
+    what the outputs cover: the full instance, or a component shard's
+    view.  ``columns`` set or override row fields (shard counters,
+    captured events, the parent graph's name); ``elapsed`` runs from
+    ``start`` through verification.
+    """
+    # Imported per call: repro.errors is looked up at call time so
+    # wrappers installed on it (tracing) see every measurement.
+    from repro.errors import eta1
+    from repro.problems import get_problem, solution_size
+
+    problem = get_problem(cell.problem) if cell.problem is not None else None
+    valid = None
+    error = None
+    if problem is not None:
+        valid = problem.is_solution(graph, result.outputs)
+        if predictions is not None:
+            error = eta1(graph, predictions, problem.name)
+    metrics: Dict[str, Any] = {}
+    if cell.metrics is not None:
+        metrics = dict(cell.metrics(problem, graph, predictions, result))
+    fields: Dict[str, Any] = dict(
+        index=index,
+        label=cell.label,
+        graph_name=graph.name,
+        n=graph.n,
+        seed=seed,
+        rounds=result.rounds,
+        rounds_executed=result.rounds_executed,
+        valid=valid,
+        error=error,
+        message_count=result.message_count,
+        dropped_messages=result.dropped_messages,
+        delayed_messages=result.delayed_messages,
+        retried_messages=result.retried_messages,
+        kernel=result.kernel,
+        stuck=result.stuck is not None,
+        solution_size=solution_size(
+            result.outputs, problem.name if problem is not None else None
+        ),
+        metrics=metrics,
+        profile=result.profile.summary() if result.profile is not None else None,
+    )
+    fields.update(columns)
+    return CellResult(elapsed=time.perf_counter() - start, **fields)
+
+
 @dataclass
 class SweepResult:
     """All rows of an executed sweep, in cell order.
@@ -214,9 +277,9 @@ class SweepResult:
         rows: One :class:`CellResult` per cell.
         backend: The backend that *actually* executed the cells
             (``"serial"`` or ``"process"``).  May differ from
-            :attr:`requested_backend`: single-cell sweeps and platforms
-            that cannot spawn worker processes run serially even when
-            the process backend was requested.
+            :attr:`requested_backend`: a single unsharded cell, and any
+            sweep on a platform that cannot spawn worker processes, runs
+            serially even when the process backend was requested.
         requested_backend: The backend the caller asked for.
         elapsed: Wall-clock seconds for the whole execution.
         cache_stats: Aggregated artifact-cache counters (summed over

@@ -34,7 +34,6 @@ __all__ = [
     "UnsupportedScheduleError",
     "available_kernels",
     "kernel_for_program",
-    "numpy_available",
     "resolve_kernel",
 ]
 
@@ -43,28 +42,20 @@ class UnsupportedScheduleError(RuntimeError):
     """``schedule="vectorized"`` cannot execute this run.
 
     Raised by the kernel-capability handshake when no compiled kernel
-    matches the run's program family, when numpy is unavailable, or when
-    the run uses features only the interpreted engine implements (fault
-    injection, event sinks, traces, per-node program mappings).  Pass
-    ``fallback="interpret"`` to downgrade the error to a warning and run
-    the interpreted quiescent schedule instead.
+    matches the run's program family, when the graph is an edge-cut
+    shard, or when the run uses features only the interpreted engine
+    implements (fault injection, event sinks, traces, per-node program
+    mappings).  Pass ``fallback="interpret"`` to downgrade the error to
+    a warning and run the interpreted quiescent schedule instead.
     """
-
-
-def numpy_available() -> bool:
-    """Whether the numpy runtime the kernels compile against is present."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a declared dep
-        return False
-    return True
 
 
 _REGISTRY: Optional[Dict[str, type]] = None
 
 
 def _registry() -> Dict[str, type]:
-    """Template name -> kernel class, loaded lazily (numpy-gated)."""
+    """Template name -> kernel class, loaded lazily (defers the numpy
+    import to the first vectorized run)."""
     global _REGISTRY
     if _REGISTRY is None:
         from repro.kernels.coloring import GreedyColoringKernel
@@ -88,9 +79,7 @@ def KERNELS() -> Dict[str, type]:
 
 
 def available_kernels() -> Tuple[str, ...]:
-    """Names of the registered kernels, ``()`` when numpy is missing."""
-    if not numpy_available():  # pragma: no cover - numpy is a declared dep
-        return ()
+    """Names of the registered kernels."""
     return tuple(sorted(_registry()))
 
 
@@ -115,10 +104,6 @@ def resolve_kernel(rt: Any, programs: Any) -> Any:
     source.  Raises :class:`UnsupportedScheduleError` with an actionable
     reason when the run cannot be vectorized.
     """
-    if not numpy_available():  # pragma: no cover - numpy is a declared dep
-        raise UnsupportedScheduleError(
-            "schedule='vectorized' requires numpy, which is not importable"
-        )
     if rt.interposer is not None:
         raise UnsupportedScheduleError(
             "fault injection (faults=/crash_rounds=) is interpreted-only; "

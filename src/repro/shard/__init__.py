@@ -10,15 +10,17 @@ Three pieces, all serving sweeps whose graphs dwarf their cells:
   :class:`~repro.core.runner.ExecutionPolicy` sets ``share_graph=True``.
 * Component sharding (:func:`execute_shard` / :func:`merge_partials`) —
   cells whose policy sets ``shard="components"`` split by connected
-  components across workers and merge back into one
-  :class:`~repro.exec.results.CellResult` bit-identical to the unsharded
-  run.
+  components across workers; each shard yields a
+  :class:`~repro.exec.results.CellResult` and the rows merge back into
+  one bit-identical to the unsharded run.
 * Edge-cut sharding (:func:`run_edgecut` / :func:`execute_edgecut_cell`)
   — cells whose policy sets ``shard="edgecut"`` block-partition the
   identifier space of a *connected* graph; one engine per block runs in
-  lockstep, exchanging cut-crossing messages through a per-round barrier
-  (:class:`~repro.simulator.transport.BoundaryTransport`), still
-  bit-identical to the unsharded run.
+  lockstep under one coordinator (:class:`EdgecutPlan` routes each
+  per-round barrier), exchanging cut-crossing messages through a
+  :class:`~repro.simulator.transport.BoundaryTransport`, still
+  bit-identical to the unsharded run.  Shard drivers are threads or
+  worker processes; nothing else differs.
 
 See docs/PERFORMANCE.md ("Sharded execution") and docs/ARCHITECTURE.md.
 """
@@ -30,7 +32,6 @@ from repro.shard.edgecut import (
 )
 from repro.shard.plan import (
     EdgecutView,
-    ShardPartial,
     edgecut_bounds,
     edgecut_node_ids,
     execute_shard,
@@ -51,7 +52,6 @@ from repro.shard.store import (
 __all__ = [
     "EdgecutPlan",
     "EdgecutView",
-    "ShardPartial",
     "SharedCSRHandle",
     "SharedCSRStore",
     "SharedCSRStoreError",

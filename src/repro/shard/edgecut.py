@@ -6,15 +6,22 @@ This module shards *through* the edges: the identifier space is block
 partitioned (:func:`~repro.shard.plan.edgecut_node_ids`), each shard runs
 a full :class:`~repro.simulator.engine.SyncEngine` over an
 :class:`~repro.shard.plan.EdgecutView` of its contiguous block, and the
-messages that cross the cut travel through a per-round barrier owned by a
-coordinator.  Two execution modes share every line of round logic:
+messages that cross the cut travel through a per-round barrier.
 
-* **threads** (``serial`` backend, :func:`run_edgecut`) — one thread per
-  shard inside this process, meeting at a :class:`_Rendezvous`;
-* **processes** (``process`` backend) — one dedicated
-  :class:`multiprocessing.Process` per shard wired to the parent by a
-  pipe; the parent routes batches and the graph ships zero-copy through
-  an active :class:`~repro.shard.store.SharedCSRStore`.
+There is one coordinator (:func:`_run_shards`): it starts one shard
+driver (:func:`_drive_shard`) per block, routes every barrier in
+lockstep through an :class:`EdgecutPlan` and merges the shard results
+once (:func:`_merge_results`).  Only the kind of driver varies:
+
+* **threads** (``serial`` backend, :func:`run_edgecut`, and any sweep
+  whose platform denies spawning) — each driver is a thread of this
+  process, wired to the coordinator by an in-process loopback pair that
+  hands objects over by reference;
+* **processes** (``process`` backend) — each driver is a dedicated
+  :class:`multiprocessing.Process` wired by a pipe; it builds the
+  algorithm and predictions from the cell's specs, attaches the graph
+  zero-copy through an active :class:`~repro.shard.store.SharedCSRStore`
+  and keeps its per-node records.
 
 Bit-identity with the unsharded run rests on the invariants documented in
 :class:`~repro.simulator.transport.BoundaryTransport` (ascending-sender
@@ -33,7 +40,9 @@ two driver-side rules:
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
+import queue
 import threading
 import time
 import traceback
@@ -51,11 +60,13 @@ from typing import (
 
 from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
+from repro.shard.store import SharedCSRStore, reset_worker_state
 from repro.simulator.engine import RoundLimitExceeded, SyncEngine
 from repro.simulator.metrics import RunResult, StuckReport
 from repro.simulator.transport import BoundaryTransport, bandwidth_error
 
 if TYPE_CHECKING:  # lazy at runtime: repro.exec imports this module.
+    from repro.exec.cache import ArtifactCache
     from repro.exec.plan import Cell
     from repro.exec.results import CellResult
 
@@ -68,21 +79,17 @@ _PICKLE = pickle.HIGHEST_PROTOCOL
 _SUPPORTED_SCHEDULES = ("eager", "quiescent", "quiescent-debug", "vectorized")
 
 
-class _Aborted(Exception):
-    """Internal: another shard failed; unwind quietly."""
-
-
 class EdgecutPlan:
-    """Shared routing + continuation policy for one edge-cut run.
+    """Routing + continuation policy for one edge-cut run.
 
-    Both coordinators (thread rendezvous and process parent) delegate to
-    one plan instance, so the two modes cannot drift: message routing,
-    event ordering, violation adjudication and the continue/stop decision
-    are single-sourced here.  The plan also owns the run's boundary
-    telemetry — each shard's per-round outbound batch is serialized and
-    its size accumulated into ``boundary_bytes``/``boundary_msgs`` (the
-    thread mode serializes too, purely for the measurement, so the two
-    backends report comparable numbers).
+    The coordinator delegates every barrier to one plan instance: message
+    routing, event ordering, violation adjudication and the continue/stop
+    decision are single-sourced here.  The plan also owns the run's
+    boundary telemetry — each shard's per-round outbound batch is
+    serialized and its size accumulated into
+    ``boundary_bytes``/``boundary_msgs`` (thread drivers hand batches
+    over unserialized, so this pickle is purely the measurement, and both
+    driver kinds report the same numbers).
     """
 
     def __init__(
@@ -102,9 +109,9 @@ class EdgecutPlan:
         self._starts = [graph.nodes[b] for b in bounds[:-1]]
         self.max_rounds = max_rounds
         self.on_round_limit = on_round_limit
-        self.deadline = (
-            None if deadline_s is None else time.perf_counter() + deadline_s
-        )
+        self.deadline_s = deadline_s
+        #: Armed at the round-0 barrier (see :meth:`decide`).
+        self.deadline: Optional[float] = None
         self.bandwidth_budget = bandwidth_budget
         self.boundary_msgs = 0
         self.boundary_bytes = 0
@@ -155,8 +162,12 @@ class EdgecutPlan:
         precedence mirrors :meth:`SyncEngine.run`: a strict violation
         aborts first (it would have raised mid-round unsharded), then
         global quiescence stops the run, then the wall-clock deadline,
-        then the round budget.
+        then the round budget.  The deadline clock starts at the round-0
+        barrier — after every shard's engine construction and setup, as
+        :meth:`SyncEngine.run` starts its own.
         """
+        if round_index == 0 and self.deadline_s is not None:
+            self.deadline = time.perf_counter() + self.deadline_s
         events: List[tuple] = []
         violations: List[tuple] = []
         total_active = 0
@@ -214,103 +225,72 @@ class EdgecutPlan:
             )
 
 
-class _Rendezvous:
-    """K-party barrier exchange for the in-process (thread) mode.
 
-    Every shard submits a payload; the last arrival runs the route
-    function once under the lock and all parties collect their slice.
-    Phases strictly alternate in lockstep (messages, then events, every
-    round on every shard), so a single instance serves the whole run.
+
+# ----------------------------------------------------------------------
+# Connections between the coordinator and its shard drivers
+# ----------------------------------------------------------------------
+_CLOSED = object()
+
+
+class _Loopback:
+    """One end of an in-process duplex connection (the thread drivers').
+
+    ``send``/``recv``/``close`` mirror :func:`multiprocessing.Pipe`
+    connections, but objects pass by reference — nothing is pickled —
+    and closing an end makes every later ``recv`` on the peer raise
+    :class:`EOFError`, as a closed pipe does.
     """
 
-    def __init__(self, count: int) -> None:
-        self.count = count
-        self._cond = threading.Condition()
-        self._inputs: Dict[int, Any] = {}
-        self._outputs: Optional[Mapping[int, Any]] = None
-        self._generation = 0
-        self.failure: Optional[BaseException] = None
+    __slots__ = ("_inbox", "_outbox")
 
-    def abort(self, exc: BaseException) -> None:
-        """Record a shard failure and release every waiter."""
-        with self._cond:
-            if self.failure is None:
-                self.failure = exc
-            self._cond.notify_all()
+    def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+        self._inbox = inbox
+        self._outbox = outbox
 
-    def exchange(self, shard: int, payload: Any, route: Any) -> Any:
-        with self._cond:
-            if self.failure is not None:
-                raise _Aborted()
-            generation = self._generation
-            self._inputs[shard] = payload
-            if len(self._inputs) == self.count:
-                inputs, self._inputs = self._inputs, {}
-                try:
-                    self._outputs = route(inputs)
-                except BaseException as exc:  # noqa: BLE001 - release peers
-                    if self.failure is None:
-                        self.failure = exc
-                self._generation += 1
-                self._cond.notify_all()
-            else:
-                while self._generation == generation and self.failure is None:
-                    self._cond.wait(1.0)
-            if self.failure is not None:
-                raise _Aborted()
-            return self._outputs[shard]
+    def send(self, obj: Any) -> None:
+        self._outbox.put(obj)
+
+    def recv(self) -> Any:
+        obj = self._inbox.get()
+        if obj is _CLOSED:
+            self._inbox.put(_CLOSED)  # stay closed for later calls
+            raise EOFError
+        return obj
+
+    def close(self) -> None:
+        self._outbox.put(_CLOSED)
 
 
-class _ThreadCoordinator:
-    """Rendezvous-backed coordinator one shard thread talks to."""
-
-    def __init__(self, plan: EdgecutPlan, rendezvous: _Rendezvous) -> None:
-        self.plan = plan
-        self.rendezvous = rendezvous
-
-    def exchange_messages(
-        self, shard: int, round_index: int, outbound: List[tuple]
-    ) -> List[tuple]:
-        return self.rendezvous.exchange(
-            shard, outbound, self.plan.route_messages
-        )
-
-    def exchange_events(
-        self, shard: int, round_index: int, submission: tuple
-    ) -> tuple:
-        return self.rendezvous.exchange(
-            shard,
-            submission,
-            lambda inputs: self.plan.decide(round_index, inputs),
-        )
+def _loopback_pair() -> Tuple[_Loopback, _Loopback]:
+    forward: queue.SimpleQueue = queue.SimpleQueue()
+    backward: queue.SimpleQueue = queue.SimpleQueue()
+    return _Loopback(backward, forward), _Loopback(forward, backward)
 
 
-class _PipeCoordinator:
-    """Pipe-backed coordinator a shard *process* talks to (worker side)."""
+class _Link:
+    """The coordinator as a shard driver sees it: one request/reply per
+    barrier over the driver's connection — the exchange interface
+    :class:`~repro.simulator.transport.BoundaryTransport` calls."""
 
     def __init__(self, conn: Any) -> None:
         self.conn = conn
 
-    def _call(self, message: tuple) -> Any:
-        self.conn.send(message)
-        kind, payload = self.conn.recv()
-        if kind != "ok":
-            raise _Aborted()
-        return payload
-
     def exchange_messages(
         self, shard: int, round_index: int, outbound: List[tuple]
     ) -> List[tuple]:
-        return self._call(("msgs", round_index, outbound))
+        self.conn.send(("msgs", round_index, outbound))
+        return self.conn.recv()
 
     def exchange_events(
         self, shard: int, round_index: int, submission: tuple
     ) -> tuple:
-        return self._call(("events", round_index, submission))
+        self.conn.send(("events", round_index, submission))
+        return self.conn.recv()
 
 
 # ----------------------------------------------------------------------
-# Per-shard round loop (identical in both modes)
+# Shard driver (a thread or a worker process)
 # ----------------------------------------------------------------------
 def _build_shard_engine(
     graph: DistGraph,
@@ -392,14 +372,13 @@ def _apply_remote_events(engine: SyncEngine, events: Sequence[tuple]) -> None:
             scheduler.on_crashed(node, owned)
 
 
-def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
-    """Run one shard to the global stop decision.
+def _run_rounds(engine: SyncEngine, link: _Link) -> None:
+    """Run one shard to the global stop decision, filling its result.
 
-    Returns ``(command, extra, rounds_executed)``.  The loop shape
-    matches :meth:`SyncEngine.run` with the control checks hoisted to
-    the coordinator: setup, then — per round — an event barrier (apply
-    the previous round's global events, learn whether to continue) and,
-    inside ``run_round``, the message barrier.
+    The loop shape matches :meth:`SyncEngine.run` with the control
+    checks hoisted to the coordinator: setup, then — per round — an
+    event barrier (apply the previous round's global events, learn
+    whether to continue) and, inside ``run_round``, the message barrier.
     """
     transport = engine.transport
     scheduler = engine._scheduler
@@ -407,7 +386,7 @@ def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
     engine._setup_phase()
     round_index = 0
     while True:
-        events, command, extra = coordinator.exchange_events(
+        events, command, _extra = link.exchange_events(
             transport.shard,
             round_index,
             (
@@ -436,34 +415,211 @@ def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
         result.stuck = engine._build_stuck_report(round_index, reason="deadline")
     elif command == "round-limit-partial":
         result.stuck = engine._build_stuck_report(round_index)
-    return command, extra, round_index
 
 
-def _merge_stuck(
-    round_index: int, n: int, reports: Sequence[StuckReport]
-) -> StuckReport:
-    """Union the per-shard partial-run snapshots into one report."""
+def _drive_shard(conn: Any, in_process: bool) -> None:
+    """One shard driver: receive its inputs, build the shard engine, run
+    its rounds against the coordinator and report.
+
+    The final message is ``("done", result)`` or ``("error", failure)``:
+    in-process the exception itself, so callers see its original type
+    and text; from a worker process its formatted traceback.  A worker
+    process builds the algorithm and predictions from the cell's specs
+    and keeps its per-node records — at bench scale they would dominate
+    the pipe traffic without informing any column.
+    """
+    try:
+        if not in_process:
+            reset_worker_state()
+        shard, shard_count, graph, algorithm, predictions, config = conn.recv()
+        if not in_process:
+            algorithm = algorithm.build()
+            if predictions is not None:
+                predictions = predictions.build(graph)
+        link = _Link(conn)
+        engine = _build_shard_engine(
+            graph, algorithm, predictions, config, shard, shard_count, link
+        )
+        _run_rounds(engine, link)
+        result = engine.result
+        if not in_process:
+            result.records = {}
+        conn.send(("done", result))
+    except EOFError:
+        pass  # the coordinator hung up: another shard failed
+    except Exception as exc:
+        try:
+            conn.send(("error", exc if in_process else traceback.format_exc()))
+        except OSError:
+            pass  # the coordinator is gone too
+    finally:
+        conn.close()
+
+
+# ----------------------------------------------------------------------
+# The coordinator
+# ----------------------------------------------------------------------
+def _lockstep(
+    plan: EdgecutPlan, conns: Sequence[Any]
+) -> Tuple[List[RunResult], str, Any]:
+    """Serve every barrier until all shards report.
+
+    Every shard is always in the same phase — ``msgs`` / ``events``
+    alternate, and after a stopping command the next message is
+    ``done`` — so one ``recv`` per shard per phase is the whole
+    protocol.  Returns the shard results and the final decision.
+    """
+    command = "continue"
+    extra: Any = None
+    while True:
+        messages = []
+        for shard, conn in enumerate(conns):
+            try:
+                message = conn.recv()
+            except EOFError:
+                raise RuntimeError(
+                    f"edge-cut shard {shard} died without reporting an error"
+                ) from None
+            if message[0] == "error":
+                if isinstance(message[1], BaseException):
+                    raise message[1]
+                raise RuntimeError(
+                    f"edge-cut shard {shard} failed:\n{message[1]}"
+                )
+            messages.append(message)
+        kind = messages[0][0]
+        if kind == "done":
+            return [message[1] for message in messages], command, extra
+        payloads = {shard: message[2] for shard, message in enumerate(messages)}
+        if kind == "msgs":
+            replies = plan.route_messages(payloads)
+        else:
+            replies = plan.decide(messages[0][1], payloads)
+            _events, command, extra = replies[0]
+        for shard, conn in enumerate(conns):
+            conn.send(replies[shard])
+
+
+def _merge_results(
+    model: Any, n: int, results: Sequence[RunResult]
+) -> RunResult:
+    """Fold the shard results, in shard order, into the
+    unsharded-identical :class:`RunResult` — the one merge.
+
+    Outputs and records are unions, message/bit counters sums, widths
+    and rounds maxima; a stuck run's report unions the shards' live
+    nodes and snapshots.
+    """
+    merged = RunResult(model=model)
     live: List[int] = []
     snapshots: Dict[int, Any] = {}
-    for report in reports:
-        live.extend(report.live_nodes)
-        snapshots.update(report.snapshots)
-    return StuckReport(
-        round=round_index,
-        live_nodes=sorted(live),
-        total_nodes=n,
-        snapshots=dict(sorted(snapshots.items())),
-        reason=reports[0].reason,
-    )
+    stuck: Optional[StuckReport] = None
+    for result in results:
+        merged.outputs.update(result.outputs)
+        merged.records.update(result.records)
+        merged.message_count += result.message_count
+        merged.total_bits += result.total_bits
+        merged.bandwidth_violations += result.bandwidth_violations
+        merged.max_message_bits = max(
+            merged.max_message_bits, result.max_message_bits
+        )
+        merged.rounds = max(merged.rounds, result.rounds)
+        if result.stuck is not None:
+            stuck = result.stuck
+            live.extend(stuck.live_nodes)
+            snapshots.update(stuck.snapshots)
+    merged.rounds_executed = results[0].rounds_executed
+    if stuck is not None:
+        merged.stuck = StuckReport(
+            round=merged.rounds_executed,
+            live_nodes=sorted(live),
+            total_nodes=n,
+            snapshots=dict(sorted(snapshots.items())),
+            reason=stuck.reason,
+        )
+    return merged
 
 
-def _resolved_max_rounds(config: Any, graph: DistGraph) -> int:
-    """The engine's effective round budget (``8n + 64`` default)."""
-    if config.max_rounds is not None:
-        return config.max_rounds
-    return 8 * graph.n + 64
+def _run_shards(
+    plan: EdgecutPlan,
+    algorithm: Any,
+    predictions: Any,
+    config: Any,
+    model: Any,
+    *,
+    processes: bool,
+) -> RunResult:
+    """The coordinator: one driver per shard, every barrier in lockstep,
+    one merge.
+
+    Thread drivers share ``algorithm`` and ``predictions`` by reference.
+    Process drivers receive them as the cell's specs; the graph crosses
+    each pipe once, zero-copy via a :class:`SharedCSRStore` (workers
+    attach the one shared CSR segment instead of unpickling flat
+    buffers).
+    """
+    graph = plan.graph
+    store = SharedCSRStore() if processes else None
+    if store is not None:
+        try:
+            store.publish(graph.csr)
+        except Exception:  # store unavailable: ship flat buffers instead
+            store.close()
+            store = None
+    conns: List[Any] = []
+    drivers: List[Any] = []
+    try:
+        # activate/deactivate, NOT ``with``: __exit__ would close the
+        # store and unlink the segment before the workers attach.
+        if store is not None:
+            store.activate()
+        try:
+            for shard in range(plan.shard_count):
+                if processes:
+                    conn, child = multiprocessing.Pipe()
+                    driver = multiprocessing.Process(
+                        target=_drive_shard, args=(child, False), daemon=True
+                    )
+                else:
+                    conn, child = _loopback_pair()
+                    driver = threading.Thread(
+                        target=_drive_shard,
+                        args=(child, True),
+                        name=f"edgecut-{shard}",
+                        daemon=True,
+                    )
+                conns.append(conn)
+                driver.start()
+                drivers.append(driver)
+                if processes:
+                    child.close()
+                conn.send(
+                    (shard, plan.shard_count, graph, algorithm, predictions, config)
+                )
+        finally:
+            if store is not None:
+                store.deactivate()
+        results, command, extra = _lockstep(plan, conns)
+    except BaseException:
+        if processes:
+            for driver in drivers:
+                driver.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for driver in drivers:
+            driver.join(timeout=30)
+        if store is not None:
+            store.release(graph.csr)
+            store.close()
+    plan.raise_for(command, extra)
+    return _merge_results(model, graph.n, results)
 
 
+# ----------------------------------------------------------------------
+# Entry points
+# ----------------------------------------------------------------------
 def _check_shardable(config: Any, shard_count: int) -> None:
     if shard_count < 2:
         raise ValueError(
@@ -479,22 +635,46 @@ def _check_shardable(config: Any, shard_count: int) -> None:
         )
 
 
-def _make_plan(
-    config: Any, graph: DistGraph, model: Any, shard_count: int
-) -> EdgecutPlan:
-    return EdgecutPlan(
+def _run_edgecut(
+    algorithm: Any,
+    graph: DistGraph,
+    predictions: Optional[Mapping[int, Any]],
+    config: Any,
+    shard_count: int,
+    *,
+    specs: Optional[Tuple[Any, Any]] = None,
+) -> Tuple[RunResult, EdgecutPlan]:
+    """One edge-cut run: the merged result plus the plan, whose
+    boundary counters are the run's inter-shard traffic.
+
+    With ``specs`` — the cell's ``(algorithm, predictions)`` specs — the
+    shard drivers are worker processes that build both themselves;
+    without, they are threads sharing ``algorithm`` and ``predictions``.
+    """
+    _check_shardable(config, shard_count)
+    if algorithm.uses_predictions and predictions is None:
+        raise ValueError(
+            f"{algorithm.name or type(algorithm).__name__} requires predictions"
+        )
+    model = config.model or algorithm.model
+    plan = EdgecutPlan(
         graph,
         shard_count,
-        max_rounds=_resolved_max_rounds(config, graph),
+        # The engine's default budget: 8n + 64.
+        max_rounds=(
+            config.max_rounds if config.max_rounds is not None else 8 * graph.n + 64
+        ),
         on_round_limit=config.on_round_limit,
         deadline_s=config.deadline_s,
         bandwidth_budget=model.bandwidth_bits(graph.n),
     )
+    shared = specs if specs is not None else (algorithm, predictions)
+    result = _run_shards(
+        plan, *shared, config, model, processes=specs is not None
+    )
+    return result, plan
 
 
-# ----------------------------------------------------------------------
-# Thread mode (serial backend / direct API)
-# ----------------------------------------------------------------------
 def run_edgecut(
     algorithm: Any,
     graph: DistGraph,
@@ -502,7 +682,6 @@ def run_edgecut(
     *,
     config: Optional[Any] = None,
     shard_count: int = 2,
-    plan_out: Optional[List[EdgecutPlan]] = None,
 ) -> RunResult:
     """Run ``algorithm`` on ``graph`` across ``shard_count`` edge-cut
     shards (one thread each) and return the merged :class:`RunResult`.
@@ -510,288 +689,15 @@ def run_edgecut(
     The in-process counterpart of :func:`repro.core.runner.run` —
     outputs, records, round counts, message/bit counters, strict-CONGEST
     exceptions, round-limit behavior and stuck reports are bit-identical
-    to the unsharded call.  ``plan_out``, when given, receives the
-    :class:`EdgecutPlan` so callers can read the boundary telemetry.
+    to the unsharded call.
     """
     from repro.core.runner import RunConfig
 
-    config = config or RunConfig()
-    _check_shardable(config, shard_count)
-    if algorithm.uses_predictions and predictions is None:
-        raise ValueError(
-            f"{algorithm.name or type(algorithm).__name__} requires predictions"
-        )
-    model = config.model or algorithm.model
-    plan = _make_plan(config, graph, model, shard_count)
-    if plan_out is not None:
-        plan_out.append(plan)
-    rendezvous = _Rendezvous(shard_count)
-    coordinator = _ThreadCoordinator(plan, rendezvous)
-    engines = [
-        _build_shard_engine(
-            graph, algorithm, predictions, config, shard, shard_count,
-            coordinator,
-        )
-        for shard in range(shard_count)
-    ]
-
-    outcomes: Dict[int, Tuple[str, Any, int]] = {}
-
-    def body(shard: int) -> None:
-        try:
-            outcomes[shard] = _drive(engines[shard], coordinator)
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - released via abort
-            rendezvous.abort(exc)
-
-    threads = [
-        threading.Thread(target=body, args=(shard,), name=f"edgecut-{shard}")
-        for shard in range(shard_count)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if rendezvous.failure is not None:
-        raise rendezvous.failure
-    command, extra, round_index = outcomes[0]
-    plan.raise_for(command, extra)
-
-    merged = RunResult(model=model)
-    stuck_reports: List[StuckReport] = []
-    rounds = 0
-    for engine in engines:
-        result = engine.result
-        merged.outputs.update(result.outputs)
-        merged.records.update(result.records)
-        merged.message_count += result.message_count
-        merged.total_bits += result.total_bits
-        merged.bandwidth_violations += result.bandwidth_violations
-        if result.max_message_bits > merged.max_message_bits:
-            merged.max_message_bits = result.max_message_bits
-        if result.rounds > rounds:
-            rounds = result.rounds
-        if result.stuck is not None:
-            stuck_reports.append(result.stuck)
-    merged.rounds = rounds
-    merged.rounds_executed = round_index
-    if stuck_reports:
-        merged.stuck = _merge_stuck(round_index, graph.n, stuck_reports)
-    return merged
+    return _run_edgecut(
+        algorithm, graph, predictions, config or RunConfig(), shard_count
+    )[0]
 
 
-# ----------------------------------------------------------------------
-# Process mode (process backend): parent routes, one worker per shard
-# ----------------------------------------------------------------------
-def _edgecut_worker(conn: Any) -> None:
-    """Shard process entry: receive init, drive the round loop, report.
-
-    The compact ``done`` payload is everything the parent's cell row
-    needs (outputs for global validity, counters, stuck) — per-node
-    records stay in the worker; at bench scale they would dominate the
-    pipe traffic without informing any column.
-    """
-    from repro.shard.store import reset_worker_state
-
-    try:
-        reset_worker_state()
-        kind, init = conn.recv()
-        if kind != "init":  # pragma: no cover - protocol guard
-            raise RuntimeError(f"expected init message, got {kind!r}")
-        shard, shard_count, graph, algorithm_spec, predictions_spec, config = (
-            init
-        )
-        algorithm = algorithm_spec.build()
-        predictions = (
-            predictions_spec.build(graph)
-            if predictions_spec is not None
-            else None
-        )
-        coordinator = _PipeCoordinator(conn)
-        engine = _build_shard_engine(
-            graph, algorithm, predictions, config, shard, shard_count,
-            coordinator,
-        )
-        _drive(engine, coordinator)
-        result = engine.result
-        conn.send(
-            (
-                "done",
-                {
-                    "outputs": result.outputs,
-                    "rounds": result.rounds,
-                    "rounds_executed": result.rounds_executed,
-                    "message_count": result.message_count,
-                    "total_bits": result.total_bits,
-                    "max_message_bits": result.max_message_bits,
-                    "bandwidth_violations": result.bandwidth_violations,
-                    "stuck": result.stuck,
-                },
-            )
-        )
-    except _Aborted:
-        pass
-    except BaseException:  # noqa: BLE001 - ship the traceback to the parent
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _run_edgecut_process(
-    cell: "Cell",
-    config: Any,
-    shard_count: int,
-    graph: DistGraph,
-    plan: EdgecutPlan,
-) -> Dict[str, Any]:
-    """Parent side of the process mode: spawn, route in lockstep, merge.
-
-    The graph crosses each pipe once, zero-copy via an active
-    :class:`~repro.shard.store.SharedCSRStore` (workers attach the one
-    shared CSR segment instead of unpickling flat buffers).  The parent
-    then serves as the coordinator: every shard is always in the same
-    phase (``msgs`` / ``events`` alternate; after a stopping command the
-    next message is ``done``), so one ``recv`` per shard per phase is
-    the whole protocol.
-    """
-    import multiprocessing
-
-    from repro.shard.store import SharedCSRStore
-
-    store = SharedCSRStore()
-    published = False
-    try:
-        store.publish(graph.csr)
-        published = True
-    except Exception:  # store unavailable: ship flat buffers instead
-        pass
-    workers: List[Any] = []
-    conns: List[Any] = []
-    try:
-        # activate/deactivate, NOT ``with``: __exit__ would close the
-        # store and unlink the segment before the workers attach.
-        if published:
-            store.activate()
-        try:
-            for shard in range(shard_count):
-                parent_conn, child_conn = multiprocessing.Pipe()
-                process = multiprocessing.Process(
-                    target=_edgecut_worker, args=(child_conn,), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                parent_conn.send(
-                    (
-                        "init",
-                        (
-                            shard,
-                            shard_count,
-                            graph,
-                            cell.algorithm,
-                            cell.predictions,
-                            config,
-                        ),
-                    )
-                )
-                workers.append(process)
-                conns.append(parent_conn)
-        finally:
-            store.deactivate()
-
-        command = "continue"
-        extra: Any = None
-        payloads: Dict[int, Dict[str, Any]] = {}
-        while len(payloads) < shard_count:
-            messages: List[tuple] = []
-            for shard in range(shard_count):
-                try:
-                    messages.append(conns[shard].recv())
-                except EOFError:
-                    raise RuntimeError(
-                        f"edge-cut shard {shard} process died "
-                        "without reporting an error"
-                    ) from None
-            for shard, message in enumerate(messages):
-                if message[0] == "error":
-                    raise RuntimeError(
-                        f"edge-cut shard {shard} failed:\n{message[1]}"
-                    )
-            kind = messages[0][0]
-            if kind == "msgs":
-                routed = plan.route_messages(
-                    {shard: messages[shard][2] for shard in range(shard_count)}
-                )
-                for shard in range(shard_count):
-                    conns[shard].send(("ok", routed[shard]))
-            elif kind == "events":
-                round_index = messages[0][1]
-                replies = plan.decide(
-                    round_index,
-                    {shard: messages[shard][2] for shard in range(shard_count)},
-                )
-                command, extra = replies[0][1], replies[0][2]
-                for shard in range(shard_count):
-                    conns[shard].send(("ok", replies[shard]))
-            else:  # "done"
-                for shard in range(shard_count):
-                    payloads[shard] = messages[shard][1]
-        for process in workers:
-            process.join(timeout=30)
-    except BaseException:
-        for conn in conns:
-            conn.close()
-        for process in workers:
-            if process.is_alive():
-                process.terminate()
-        for process in workers:
-            process.join(timeout=5)
-        raise
-    finally:
-        for conn in conns:
-            conn.close()
-        if published:
-            store.release(graph.csr)
-        store.close()
-
-    plan.raise_for(command, extra)
-    merged: Dict[str, Any] = {
-        "outputs": {},
-        "rounds": 0,
-        "rounds_executed": 0,
-        "message_count": 0,
-        "total_bits": 0,
-        "max_message_bits": 0,
-        "bandwidth_violations": 0,
-        "stuck": None,
-    }
-    stuck_reports: List[StuckReport] = []
-    for shard in range(shard_count):
-        payload = payloads[shard]
-        merged["outputs"].update(payload["outputs"])
-        merged["rounds"] = max(merged["rounds"], payload["rounds"])
-        merged["rounds_executed"] = payload["rounds_executed"]
-        merged["message_count"] += payload["message_count"]
-        merged["total_bits"] += payload["total_bits"]
-        merged["max_message_bits"] = max(
-            merged["max_message_bits"], payload["max_message_bits"]
-        )
-        merged["bandwidth_violations"] += payload["bandwidth_violations"]
-        if payload["stuck"] is not None:
-            stuck_reports.append(payload["stuck"])
-    if stuck_reports:
-        merged["stuck"] = _merge_stuck(
-            merged["rounds_executed"], graph.n, stuck_reports
-        )
-    return merged
-
-
-# ----------------------------------------------------------------------
-# Cell entry point (both backends)
-# ----------------------------------------------------------------------
 def execute_edgecut_cell(
     index: int,
     cell: "Cell",
@@ -799,98 +705,33 @@ def execute_edgecut_cell(
     shard_count: int,
     *,
     mode: str = "thread",
-    cache: Optional[Any] = None,
+    cache: "ArtifactCache",
 ) -> "CellResult":
     """Execute one ``shard="edgecut"`` sweep cell and return its row.
 
-    ``mode="thread"`` (serial backend) runs :func:`run_edgecut` in this
-    process; ``mode="process"`` (process backend) spawns one worker per
-    shard with the parent routing the barriers.  Validity, η₁ and
-    solution size are computed on the **full** graph — unlike component
-    shards, an edge-cut shard's induced subgraph is not a closed world,
-    so per-shard verdicts would miss every cut edge.
+    ``mode`` picks the shard drivers: ``"thread"`` (serial backend, and
+    the fallback when spawning is denied) or ``"process"`` (process
+    backend: one worker per shard, the parent coordinating).  The row is
+    verified on the **full** graph — unlike component shards, an
+    edge-cut shard's induced subgraph is not a closed world, so
+    per-shard verdicts would miss every cut edge.
     """
-    from repro.exec.results import CellResult
+    from repro.exec.results import cell_row
 
     start = time.perf_counter()
-    if cache is not None:
-        graph = cache.get_or_build(cell.graph.key, cell.graph.build)
-    else:
-        graph = cell.graph.build()
-    config = cell.config.with_overrides(seed=seed)
-    algorithm = cell.algorithm.build()
-    predictions = None
-    if cell.predictions is not None:
-        spec = cell.predictions
-        if cache is not None:
-            predictions = cache.get_or_build(
-                f"{spec.key}@{cell.graph.key}", lambda: spec.build(graph)
-            )
-        else:
-            predictions = spec.build(graph)
-
-    if mode == "process":
-        _check_shardable(config, shard_count)
-        if algorithm.uses_predictions and cell.predictions is None:
-            raise ValueError(
-                f"{algorithm.name or type(algorithm).__name__} "
-                "requires predictions"
-            )
-        model = config.model or algorithm.model
-        plan = _make_plan(config, graph, model, shard_count)
-        merged = _run_edgecut_process(cell, config, shard_count, graph, plan)
-        outputs = merged["outputs"]
-        rounds = merged["rounds"]
-        rounds_executed = merged["rounds_executed"]
-        message_count = merged["message_count"]
-        stuck = merged["stuck"]
-    else:
-        plans: List[EdgecutPlan] = []
-        result = run_edgecut(
-            algorithm,
-            graph,
-            predictions,
-            config=config,
-            shard_count=shard_count,
-            plan_out=plans,
-        )
-        plan = plans[0]
-        outputs = result.outputs
-        rounds = result.rounds
-        rounds_executed = result.rounds_executed
-        message_count = result.message_count
-        stuck = result.stuck
-
-    valid = None
-    error = None
-    problem = None
-    if cell.problem is not None:
-        from repro.problems import get_problem
-
-        problem = get_problem(cell.problem)
-        valid = problem.is_solution(graph, outputs)
-        if predictions is not None:
-            from repro.errors import eta1
-
-            error = eta1(graph, predictions, problem.name)
-    from repro.problems import solution_size as _solution_size
-
-    return CellResult(
-        index=index,
-        label=cell.label,
-        graph_name=graph.name,
-        n=graph.n,
-        seed=seed,
-        rounds=rounds,
-        rounds_executed=rounds_executed,
-        valid=valid,
-        error=error,
-        message_count=message_count,
-        stuck=stuck is not None,
-        solution_size=_solution_size(
-            outputs, problem.name if problem is not None else None
-        ),
-        elapsed=time.perf_counter() - start,
+    graph, predictions = cell.inputs(cache)
+    specs = (cell.algorithm, cell.predictions) if mode == "process" else None
+    result, plan = _run_edgecut(
+        cell.algorithm.build(),
+        graph,
+        predictions,
+        cell.config.with_overrides(seed=seed),
+        shard_count,
+        specs=specs,
+    )
+    return cell_row(
+        index, cell, seed, graph, predictions, result,
+        start=start,
         shards=shard_count,
         boundary_msgs=plan.boundary_msgs,
         boundary_bytes=plan.boundary_bytes,

@@ -29,7 +29,7 @@ draws from tick-global streams, so component isolation does not hold;
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.runner import run
@@ -40,34 +40,6 @@ if TYPE_CHECKING:  # imported lazily at runtime: repro.exec imports this
     from repro.exec.cache import ArtifactCache
     from repro.exec.plan import Cell
     from repro.exec.results import CellResult
-
-
-@dataclass
-class ShardPartial:
-    """One shard's contribution to a sharded cell (picklable row shard).
-
-    ``shard``/``shard_count`` locate it; everything else mirrors the
-    :class:`~repro.exec.results.CellResult` fields its merge feeds.
-    """
-
-    index: int
-    shard: int
-    shard_count: int
-    graph_name: str
-    n: int
-    shard_nodes: int
-    rounds: int
-    rounds_executed: int
-    message_count: int
-    dropped_messages: int
-    delayed_messages: int
-    retried_messages: int
-    valid: Optional[bool]
-    error: Optional[int]
-    solution_size: int
-    stuck: bool
-    kernel: Optional[str]
-    elapsed: float
 
 
 def shard_mode(
@@ -209,107 +181,62 @@ def execute_shard(
     shard: int,
     shard_count: int,
     cache: "ArtifactCache",
-) -> ShardPartial:
-    """Run one shard of a cell (worker-side) and return its partial.
+) -> "CellResult":
+    """Run one shard of a cell (worker-side) and return its row.
 
     The parent graph is attached/built through the worker's artifact
     cache (zero-copy when a :class:`~repro.shard.store.SharedCSRStore`
     shipped it); the shard's induced view is cached per
     ``(graph, shard, shard_count)`` so grid cells sharing a graph reuse
-    it.
+    it.  The row is verified on the view — a component shard is a closed
+    world — but named after the parent graph.
     """
+    from repro.exec.results import cell_row
+
     start = time.perf_counter()
-    graph = cache.get_or_build(cell.graph.key, cell.graph.build)
+    graph, full = cell.inputs(cache)
     view = cache.get_or_build(
         f"shard:{shard}/{shard_count}@{cell.graph.key}",
         lambda: shard_view(graph, shard_node_ids(graph, shard, shard_count)),
     )
     predictions = None
-    if cell.predictions is not None:
-        spec = cell.predictions
-        full = cache.get_or_build(
-            f"{spec.key}@{cell.graph.key}", lambda: spec.build(graph)
-        )
-        predictions = {
-            node: full[node] for node in view.nodes if node in full
-        }
-    algorithm = cell.algorithm.build()
+    if full is not None:
+        predictions = {node: full[node] for node in view.nodes if node in full}
     config = cell.config.with_overrides(seed=seed)
-    result = run(algorithm, view, predictions, config=config)
-
-    problem = None
-    valid = None
-    error = None
-    if cell.problem is not None:
-        from repro.problems import get_problem
-
-        problem = get_problem(cell.problem)
-        valid = problem.is_solution(view, result.outputs)
-        if predictions is not None:
-            from repro.errors import eta1
-
-            error = eta1(view, predictions, problem.name)
-    from repro.problems import solution_size as _solution_size
-
-    return ShardPartial(
-        index=index,
-        shard=shard,
-        shard_count=shard_count,
-        graph_name=graph.name,
-        n=graph.n,
-        shard_nodes=len(view.nodes),
-        rounds=result.rounds,
-        rounds_executed=result.rounds_executed,
-        message_count=result.message_count,
-        dropped_messages=result.dropped_messages,
-        delayed_messages=result.delayed_messages,
-        retried_messages=result.retried_messages,
-        valid=valid,
-        error=error,
-        solution_size=_solution_size(
-            result.outputs, problem.name if problem is not None else None
-        ),
-        stuck=result.stuck is not None,
-        kernel=getattr(result, "kernel", None),
-        elapsed=time.perf_counter() - start,
+    result = run(cell.algorithm.build(), view, predictions, config=config)
+    return cell_row(
+        index, cell, seed, view, predictions, result,
+        start=start, graph_name=graph.name,
     )
 
 
-def merge_partials(
-    index: int, cell: "Cell", seed: int, partials: Sequence[ShardPartial]
-) -> "CellResult":
-    """Fold a cell's shard partials into the unsharded-identical row.
+def merge_partials(rows: Sequence["CellResult"]) -> "CellResult":
+    """Fold one cell's per-shard rows, in shard order, into the
+    unsharded-identical row.
 
     Maxima for round counts and η₁ (component-wise maxima compose),
-    sums for message/solution counters, conjunction for validity.
+    sums for message/solution counters, conjunction for validity; the
+    kernel name is the first shard's that has one.
     """
-    from repro.exec.results import CellResult
-
-    if not partials:
-        raise ValueError(f"cell {cell.label!r} produced no shard partials")
-    parts = sorted(partials, key=lambda partial: partial.shard)
-    valids = [partial.valid for partial in parts if partial.valid is not None]
-    errors = [partial.error for partial in parts if partial.error is not None]
-    kernels = [
-        partial.kernel for partial in parts if partial.kernel is not None
-    ]
-    return CellResult(
-        index=index,
-        label=cell.label,
-        graph_name=parts[0].graph_name,
-        n=parts[0].n,
-        seed=seed,
-        rounds=max(partial.rounds for partial in parts),
-        rounds_executed=max(partial.rounds_executed for partial in parts),
-        valid=all(valids) if cell.problem is not None else None,
+    if not rows:
+        raise ValueError("no shard rows to merge")
+    valids = [row.valid for row in rows if row.valid is not None]
+    errors = [row.error for row in rows if row.error is not None]
+    kernels = [row.kernel for row in rows if row.kernel is not None]
+    return replace(
+        rows[0],
+        rounds=max(row.rounds for row in rows),
+        rounds_executed=max(row.rounds_executed for row in rows),
+        valid=all(valids) if valids else None,
         error=max(errors) if errors else None,
-        message_count=sum(partial.message_count for partial in parts),
-        dropped_messages=sum(partial.dropped_messages for partial in parts),
-        delayed_messages=sum(partial.delayed_messages for partial in parts),
-        retried_messages=sum(partial.retried_messages for partial in parts),
+        message_count=sum(row.message_count for row in rows),
+        dropped_messages=sum(row.dropped_messages for row in rows),
+        delayed_messages=sum(row.delayed_messages for row in rows),
+        retried_messages=sum(row.retried_messages for row in rows),
         kernel=kernels[0] if kernels else None,
-        stuck=any(partial.stuck for partial in parts),
-        solution_size=sum(partial.solution_size for partial in parts),
-        elapsed=sum(partial.elapsed for partial in parts),
-        shards=len(parts),
+        stuck=any(row.stuck for row in rows),
+        solution_size=sum(row.solution_size for row in rows),
+        elapsed=sum(row.elapsed for row in rows),
+        profile=None,
+        shards=len(rows),
     )

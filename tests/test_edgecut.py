@@ -12,16 +12,23 @@ the bandwidth budget names the same round and edge as the unsharded run
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
+import os
+import sys
+import time
 import warnings
 
 import pytest
 
+from repro.algorithms.mis.greedy import GreedyMISProgram
 from repro.bench.algorithms import (
     coloring_simple,
     greedy_mis_reference,
     matching_simple,
 )
 from repro.core import RunConfig, run
+from repro.core.algorithm import FunctionalAlgorithm
 from repro.core.runner import ExecutionPolicy
 from repro.exec import GraphSpec, Sweep
 from repro.graphs import (
@@ -33,6 +40,7 @@ from repro.kernels import UnsupportedScheduleError
 from repro.predictions import perfect_predictions
 from repro.problems import PROBLEMS
 from repro.shard import EdgecutView, edgecut_bounds, run_edgecut
+from repro.shard import store as store_module
 from repro.simulator.engine import RoundLimitExceeded
 from repro.simulator.models import strict_congest
 from repro.simulator.transport import BandwidthExceeded
@@ -147,6 +155,29 @@ class TestDifferentialFuzz:
             )
             _assert_identical(sharded, reference)
 
+    def test_thread_drivers_under_frequent_switches(self):
+        """Thread drivers build their engines concurrently over one shared
+        graph and algorithm; forcing a thread switch every microsecond,
+        with more shards than cores, must not change any observable."""
+        graph = _fuzz_graph(22, n=80)
+        algorithm, predictions = _setup(
+            coloring_simple, "vertex-coloring", True, graph, 6
+        )
+        config = RunConfig(seed=6, policy=ExecutionPolicy(schedule="quiescent"))
+        reference = run(algorithm, graph, predictions, config=config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            sharded = run_edgecut(
+                algorithm, graph, predictions, config=config, shard_count=8
+            )
+            assert time.perf_counter() - started < 60
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_identical(sharded, reference)
+        assert sharded.records.keys() == reference.records.keys()
+
     def test_preorder_tree_round_count_is_depth_bounded(self):
         graph = preorder_kary_tree(3, 5)
         reference = run(greedy_mis_reference(), graph, seed=1)
@@ -227,6 +258,33 @@ class TestLimitParity:
         assert sharded.stuck.round == reference.stuck.round
         assert sharded.stuck.total_nodes == reference.stuck.total_nodes
         assert sharded.stuck.reason == reference.stuck.reason
+
+    def test_deadline_starts_after_shard_setup(self):
+        """The deadline clock starts at the round-0 barrier, after every
+        shard built its engine — as SyncEngine.run starts it after init.
+        Engine construction here outlasts the deadline; the round loop
+        is far shorter, so both runs complete."""
+
+        def slow_program():
+            time.sleep(0.02)
+            return GreedyMISProgram()
+
+        algorithm = FunctionalAlgorithm(
+            "slow-init-greedy-mis",
+            slow_program,
+            round_bound=lambda n, delta, d: n + 1,
+            safe_pause_interval=2,
+        )
+        graph = preorder_kary_tree(3, 3)  # 40 nodes: >= 0.4 s of init
+        config = RunConfig(
+            seed=3,
+            policy=ExecutionPolicy(schedule="quiescent", deadline_s=0.3),
+        )
+        reference = run(algorithm, graph, config=config)
+        sharded = run_edgecut(algorithm, graph, config=config, shard_count=2)
+        assert reference.stuck is None
+        assert sharded.stuck is None
+        _assert_identical(sharded, reference)
 
 
 # ----------------------------------------------------------------------
@@ -353,3 +411,71 @@ class TestSweepIntegration:
         assert result.equivalent_to(reference)
         for row in result.rows:
             assert not row.shards
+
+    def test_single_cell_sweep_follows_the_process_backend(self, monkeypatch):
+        """One edge-cut cell on the process backend still runs its shards
+        in worker processes, and the result reports that backend."""
+        starts = []
+        original_start = multiprocessing.Process.start
+
+        def counting_start(process):
+            starts.append(process)
+            return original_start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        graph = _fuzz_graph(64, n=80)
+        sweep = Sweep(name="one-edgecut-cell", base_seed=5)
+        sweep.add(
+            "only",
+            GraphSpec.literal(graph),
+            "greedy_mis_reference",
+            problem="mis",
+            seed=3,
+            policy=ExecutionPolicy(schedule="quiescent", shard="edgecut"),
+        )
+        result = sweep.run("process", jobs=2)
+        assert result.backend == "process"
+        assert len(starts) == 2
+        (row,) = result.rows
+        assert row.shards == 2 and row.valid
+        threads = sweep.run("serial", jobs=2)
+        assert threads.backend == "serial"
+        assert result.equivalent_to(threads)
+        assert row.boundary_msgs == threads.rows[0].boundary_msgs
+        assert row.boundary_bytes == threads.rows[0].boundary_bytes
+
+    def test_spawn_denied_falls_back_to_thread_drivers(self, monkeypatch):
+        """When the platform refuses to start shard processes the sweep
+        reruns serially on thread drivers — same rows, boundary counters
+        included — says so, and leaves no shared-memory segment behind."""
+        stores = []
+        original_init = store_module.SharedCSRStore.__init__
+
+        def tracking_init(store, *args, **kwargs):
+            original_init(store, *args, **kwargs)
+            stores.append(store)
+
+        def denied_start(process):
+            raise PermissionError(1, "process spawning denied")
+
+        graph = _fuzz_graph(65, n=100)
+        serial = _edgecut_sweep(graph, shard="edgecut").run("serial", jobs=2)
+        monkeypatch.setattr(store_module.SharedCSRStore, "__init__", tracking_init)
+        monkeypatch.setattr(multiprocessing.Process, "start", denied_start)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            result = _edgecut_sweep(graph, shard="edgecut", share=True).run(
+                "process", jobs=2
+            )
+        assert result.backend == "serial"
+        assert result.requested_backend == "process"
+
+        def observed(rows):
+            return [
+                (row.as_tuple(), row.shards, row.boundary_msgs, row.boundary_bytes)
+                for row in rows
+            ]
+
+        assert observed(result.rows) == observed(serial.rows)
+        assert stores, "the process drivers never tried to publish the graph"
+        assert all(store.closed and len(store) == 0 for store in stores)
+        assert not glob.glob(f"/dev/shm/repro-csr-{os.getpid()}-*")
