@@ -3,8 +3,9 @@
 The greedy algorithms of Sections 6 and 8 have a moving *frontier*: on a
 sorted line only the two or three nodes at the large end do anything in
 any given round, while the eager schedule still pays a full O(n) sweep —
-Θ(n²) node-rounds for an n-round run.  ``run(..., schedule="quiescent")``
-executes only the wake-set, collapsing that to O(n) node-rounds total.
+Θ(n²) node-rounds for an n-round run.  The quiescent schedule
+(``ExecutionPolicy(schedule="quiescent")``) executes only the wake-set,
+collapsing that to O(n) node-rounds total.
 
 Every workload here runs eager-vs-quiescent, asserts **observational
 identity** (same outputs, round count, message count — the quiescent

@@ -209,6 +209,19 @@ def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
         raise SystemExit(str(exc))
 
 
+def _require_profiling(schedule: str) -> None:
+    """Refuse, before any run, to profile a schedule that cannot be timed."""
+    capabilities = schedule_capabilities()
+    if not capabilities[schedule]["profile"]:
+        supported = ", ".join(
+            name for name, caps in sorted(capabilities.items()) if caps["profile"]
+        )
+        raise SystemExit(
+            f"profiling is not supported with --schedule {schedule} "
+            f"(profiled schedules: {supported})"
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     problem, algorithm, graph = _build(args)
     predictions = _predictions_for_args(problem, graph, args)
@@ -262,6 +275,7 @@ def _predictions_for_args(problem, graph, args: argparse.Namespace):
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one instance with round profiling and print the phase table."""
+    _require_profiling(args.schedule)
     problem, algorithm, graph = _build(args)
     predictions = _predictions_for_args(problem, graph, args)
     try:
@@ -346,6 +360,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core import RunConfig
     from repro.exec import FaultSpec, GraphSpec, PredictionSpec, Sweep
 
+    if args.profile:
+        _require_profiling(args.schedule)
     problem = PROBLEMS.get(args.problem)
     if problem is None:
         raise SystemExit(f"unknown problem {args.problem!r}")

@@ -16,16 +16,14 @@ arguments of :func:`run` are conveniences that build (or override) a
 
 The execution knobs (``schedule``/``phi``/``send_timeout``/
 ``max_retries``/``deadline_s``/``fallback``) live in
-:class:`ExecutionPolicy`; passing them flat to :func:`run` or
-:class:`RunConfig` still works but emits a :class:`DeprecationWarning`
-(docs/API.md documents the policy surface).
+:class:`ExecutionPolicy` and are passed as ``policy=`` (docs/API.md
+documents the policy surface).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 from repro.core.algorithm import DistributedAlgorithm
 from repro.graphs.graph import DistGraph
@@ -145,26 +143,7 @@ class ExecutionPolicy:
             )
 
 
-#: RunConfig keywords that live on the nested :class:`ExecutionPolicy`.
-_POLICY_FIELDS: Tuple[str, ...] = (
-    "schedule",
-    "phi",
-    "send_timeout",
-    "max_retries",
-    "deadline_s",
-    "fallback",
-    "share_graph",
-    "shard",
-)
-
-_FLAT_POLICY_MESSAGE = (
-    "flat execution keywords (schedule=/phi=/send_timeout=/max_retries=/"
-    "deadline_s=/fallback=) are deprecated; pass "
-    "policy=ExecutionPolicy(...) instead"
-)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RunConfig:
     """Frozen description of one engine execution.
 
@@ -176,9 +155,9 @@ class RunConfig:
             *unset*: single runs fall back to seed 0, while sweep cells
             derive a deterministic per-cell seed.  An explicit ``0`` is
             honored everywhere (it is a real seed, not "unset").
-        faults: A :class:`~repro.faults.plan.FaultPlan` (or controller)
-            describing crashes, message adversaries and prediction
-            corruption; ``None`` runs fault-free.
+        faults: A :class:`~repro.faults.plan.FaultPlan` describing
+            crashes, message adversaries and prediction corruption;
+            ``None`` runs fault-free.
         on_round_limit: ``"raise"`` or ``"partial"`` (graceful
             degradation; the result carries a ``stuck`` report).
         trace: Record every event; the :class:`TraceRecorder` is attached
@@ -192,9 +171,7 @@ class RunConfig:
             result as ``result.profile``.
         policy: The :class:`ExecutionPolicy` — schedule choice and its
             asynchrony/fallback knobs.  The policy's fields are also
-            readable directly on the config (``config.schedule`` etc.);
-            passing them flat to the constructor still works but is
-            deprecated.
+            readable directly on the config (``config.schedule`` etc.).
     """
 
     model: Optional[ExecutionModel] = None
@@ -207,58 +184,12 @@ class RunConfig:
     profile: bool = False
     policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
-    def __init__(
-        self,
-        model: Optional[ExecutionModel] = None,
-        max_rounds: Optional[int] = None,
-        seed: Optional[int] = None,
-        faults: Optional[Any] = None,
-        on_round_limit: str = "raise",
-        trace: bool = False,
-        fast: bool = False,
-        profile: bool = False,
-        policy: Optional[ExecutionPolicy] = None,
-        *,
-        schedule: Any = _UNSET,
-        phi: Any = _UNSET,
-        send_timeout: Any = _UNSET,
-        max_retries: Any = _UNSET,
-        deadline_s: Any = _UNSET,
-        fallback: Any = _UNSET,
-    ) -> None:
-        flat = {
-            name: value
-            for name, value in (
-                ("schedule", schedule),
-                ("phi", phi),
-                ("send_timeout", send_timeout),
-                ("max_retries", max_retries),
-                ("deadline_s", deadline_s),
-                ("fallback", fallback),
-            )
-            if value is not _UNSET
-        }
-        if flat:
-            warnings.warn(
-                _FLAT_POLICY_MESSAGE, DeprecationWarning, stacklevel=2
-            )
-            policy = replace(policy or ExecutionPolicy(), **flat)
-        if on_round_limit not in ("raise", "partial"):
+    def __post_init__(self) -> None:
+        if self.on_round_limit not in ("raise", "partial"):
             raise ValueError(
                 "on_round_limit must be 'raise' or 'partial', "
-                f"got {on_round_limit!r}"
+                f"got {self.on_round_limit!r}"
             )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "max_rounds", max_rounds)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "on_round_limit", on_round_limit)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "fast", fast)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(
-            self, "policy", policy if policy is not None else ExecutionPolicy()
-        )
 
     # -- policy field pass-throughs (the documented read surface) -------
     @property
@@ -291,49 +222,11 @@ class RunConfig:
         return 0 if self.seed is None else self.seed
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
-        """A copy with the given (non-``_UNSET``) fields replaced.
-
-        Accepts both config fields (including ``policy=``) and the
-        policy's own field names — the latter are folded into a copy of
-        the effective policy, so internal callers (the :func:`run`
-        shim, sweep backends) can keep passing flat names without
-        duplicating the routing logic.
-        """
+        """A copy with the given (non-``_UNSET``) fields replaced."""
         changes = {
             key: value for key, value in overrides.items() if value is not _UNSET
         }
-        policy = changes.pop("policy", None)
-        policy_changes = {
-            key: changes.pop(key)
-            for key in _POLICY_FIELDS
-            if key in changes
-        }
-        if policy is not None or policy_changes:
-            base = policy if policy is not None else self.policy
-            if policy_changes:
-                base = replace(base, **policy_changes)
-            changes["policy"] = base
         return replace(self, **changes) if changes else self
-
-
-def _deprecated_crash_rounds(
-    crash_rounds: Optional[Mapping[int, int]], faults: Optional[Any]
-) -> Optional[Any]:
-    """Fold the legacy ``crash_rounds`` mapping into a fault plan."""
-    warnings.warn(
-        "crash_rounds= is deprecated; pass "
-        "faults=FaultPlan.crash_stop({node: round, ...}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    from repro.faults.plan import FaultPlan
-
-    if faults is None:
-        return FaultPlan.crash_stop(crash_rounds)
-    if isinstance(faults, FaultPlan):
-        return faults.with_crash_rounds(crash_rounds)
-    faults.add_crash_rounds(crash_rounds)
-    return faults
 
 
 def run(
@@ -345,19 +238,12 @@ def run(
     model: Optional[ExecutionModel] = _UNSET,
     max_rounds: Optional[int] = _UNSET,
     seed: Optional[int] = _UNSET,
-    crash_rounds: Optional[Mapping[int, int]] = None,
     faults: Optional[Any] = _UNSET,
     on_round_limit: str = _UNSET,
     trace: bool = _UNSET,
     fast: bool = _UNSET,
     profile: bool = _UNSET,
     policy: Optional[ExecutionPolicy] = None,
-    schedule: str = _UNSET,
-    phi: int = _UNSET,
-    send_timeout: Optional[int] = _UNSET,
-    max_retries: int = _UNSET,
-    deadline_s: Optional[float] = _UNSET,
-    fallback: Optional[str] = _UNSET,
     sinks: Optional[Any] = None,
 ) -> RunResult:
     """Run ``algorithm`` on ``graph`` and return the execution record.
@@ -380,16 +266,10 @@ def run(
         policy: An :class:`ExecutionPolicy` override — the documented
             way to choose a schedule and its asynchrony/fallback knobs:
             ``run(alg, g, policy=ExecutionPolicy(schedule="vectorized"))``.
-        schedule, phi, send_timeout, max_retries, deadline_s, fallback:
-            Deprecated flat spellings of the :class:`ExecutionPolicy`
-            fields; they still work (folded into the effective policy)
-            but emit a :class:`DeprecationWarning`.
         sinks: Extra :class:`~repro.obs.events.EventSink` objects
             attached to the engine for this call (not part of the
             frozen config: sinks hold live resources such as open
             files).
-        crash_rounds: Deprecated — use
-            ``faults=FaultPlan.crash_stop({node: round, ...})``.
 
     Returns:
         The :class:`RunResult`; when tracing was requested its ``trace``
@@ -399,20 +279,6 @@ def run(
         raise ValueError(
             f"{algorithm.name or type(algorithm).__name__} requires predictions"
         )
-    flat_policy = {
-        name: value
-        for name, value in (
-            ("schedule", schedule),
-            ("phi", phi),
-            ("send_timeout", send_timeout),
-            ("max_retries", max_retries),
-            ("deadline_s", deadline_s),
-            ("fallback", fallback),
-        )
-        if value is not _UNSET
-    }
-    if flat_policy:
-        warnings.warn(_FLAT_POLICY_MESSAGE, DeprecationWarning, stacklevel=2)
     config = (config or RunConfig()).with_overrides(
         model=model,
         max_rounds=max_rounds,
@@ -422,13 +288,8 @@ def run(
         trace=trace,
         fast=fast,
         profile=profile,
-        policy=policy,
-        **flat_policy,
+        policy=_UNSET if policy is None else policy,
     )
-    if crash_rounds:
-        config = replace(
-            config, faults=_deprecated_crash_rounds(crash_rounds, config.faults)
-        )
     recorder = TraceRecorder() if config.trace else None
     engine = SyncEngine(
         graph,
@@ -453,35 +314,3 @@ def run(
     result = engine.run()
     result.trace = recorder
     return result
-
-
-def run_with_trace(
-    algorithm: DistributedAlgorithm,
-    graph: DistGraph,
-    predictions: Optional[Mapping[int, Any]] = None,
-    *,
-    model: Optional[ExecutionModel] = _UNSET,
-    max_rounds: Optional[int] = _UNSET,
-    seed: int = _UNSET,
-    faults: Optional[Any] = _UNSET,
-    on_round_limit: str = _UNSET,
-) -> Tuple[RunResult, TraceRecorder]:
-    """Deprecated: use ``run(..., trace=True)`` and ``result.trace``."""
-    warnings.warn(
-        "run_with_trace() is deprecated; use run(..., trace=True) and "
-        "read the recorder from result.trace",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = run(
-        algorithm,
-        graph,
-        predictions,
-        model=model,
-        max_rounds=max_rounds,
-        seed=seed,
-        faults=faults,
-        on_round_limit=on_round_limit,
-        trace=True,
-    )
-    return result, result.trace

@@ -10,17 +10,18 @@ compose / deliver / process / finalize phase timings together with the
 message and live-node counts, and aggregates them into totals and
 histograms.
 
-Profiling uses a separate engine round path that splits the fused
-compose-and-deliver loop so the phases can be timed independently; the
-split is observationally identical (same outputs, rounds, message
-counts, event order) and is never taken when profiling is off, so the
-unprofiled hot loop pays nothing.
+Every scheduler has one round loop, whose phases run one after another
+(compose every outbox, deliver, process, finalize).  The loop reports
+each phase boundary to the run's :class:`PhaseClock`; an unprofiled run
+binds :data:`NULL_CLOCK`, whose marks do nothing, so profiling changes
+no output, round, message count or event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: Phase names in schedule order (also the column order of tables).
 #: ``kernel`` is the whole-frontier phase of ``schedule="vectorized"``
@@ -83,7 +84,7 @@ class RoundSample:
 class RoundProfile:
     """Per-round phase timings of one run, with aggregation helpers.
 
-    Filled by the engine's profiled round path; read via ``result.
+    Filled through the run's :class:`PhaseClock`; read via ``result.
     profile``.  ``setup`` is the seconds spent in the setup phase
     (round 0), which has no per-phase breakdown.
     """
@@ -107,10 +108,10 @@ class RoundProfile:
         scheduled: int = -1,
         kernel: float = 0.0,
     ) -> None:
-        """Append one round's sample (called by the engine).
+        """Append one round's sample (called by the :class:`PhaseClock`).
 
         ``scheduled`` defaults to ``active`` (the eager schedule runs
-        every live node); the quiescent profiled path passes the wake-set
+        every live node); the quiescent schedule passes the wake-set
         size instead, and the vectorized path passes the count of nodes
         that observably acted together with the round's ``kernel`` time.
         """
@@ -213,6 +214,80 @@ class RoundProfile:
             f"{total_cells}  {sum(totals.values()) * 1e3:>9.3f}"
         )
         return "\n".join(lines)
+
+
+class PhaseClock:
+    """Times one run's rounds, phase by phase, into a :class:`RoundProfile`.
+
+    A scheduler's ``run_round`` calls :meth:`begin` as its first phase
+    starts, :meth:`mark` at every later phase boundary and :meth:`end`
+    once the round is finalized; each phase is charged the wall-clock up
+    to the next mark.  The engine binds one clock per run (or
+    :data:`NULL_CLOCK` when the run is not profiled).
+    """
+
+    __slots__ = ("profile", "rt", "_marks", "_messages", "_active")
+
+    def __init__(self, profile: RoundProfile, rt: Any) -> None:
+        self.profile = profile
+        self.rt = rt
+        self._marks: List[Tuple[str, float]] = []
+        self._messages = 0
+        self._active = 0
+
+    def time_setup(self, setup: Callable[[], None]) -> None:
+        """Run the setup phase (round 0), recording its wall-clock."""
+        start = perf_counter()
+        setup()
+        self.profile.setup = perf_counter() - start
+
+    def begin(self, phase: str) -> None:
+        """Start a round in ``phase``, snapshotting its counters."""
+        rt = self.rt
+        self._messages = rt.result.message_count
+        self._active = len(rt._active)
+        self._marks = [(phase, perf_counter())]
+
+    def mark(self, phase: str) -> None:
+        """Close the running phase and start ``phase``."""
+        self._marks.append((phase, perf_counter()))
+
+    def end(self, round_index: int, scheduled: int = -1) -> None:
+        """Close the last phase and record the round's sample."""
+        marks = self._marks
+        marks.append(("", perf_counter()))
+        seconds = dict.fromkeys(PHASES, 0.0)
+        for (phase, start), (_, stop) in zip(marks, marks[1:]):
+            seconds[phase] += stop - start
+        self.profile.add_round(
+            round_index,
+            messages=self.rt.result.message_count - self._messages,
+            active=self._active,
+            scheduled=scheduled,
+            **seconds,
+        )
+
+
+class _NullClock:
+    """The phase clock of an unprofiled run: every mark does nothing."""
+
+    __slots__ = ()
+
+    def time_setup(self, setup: Callable[[], None]) -> None:
+        setup()
+
+    def begin(self, phase: str) -> None:
+        pass
+
+    def mark(self, phase: str) -> None:
+        pass
+
+    def end(self, round_index: int, scheduled: int = -1) -> None:
+        pass
+
+
+#: The one shared clock bound by every unprofiled run.
+NULL_CLOCK = _NullClock()
 
 
 def _histogram(

@@ -39,11 +39,10 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
-from repro.obs.profile import RoundProfile
+from repro.obs.profile import NULL_CLOCK, PhaseClock, RoundProfile
 from repro.simulator.context import NodeContext
 from repro.simulator.interpose import FaultInterposer
 from repro.simulator.lifecycle import NodeLifecycle
@@ -110,17 +109,13 @@ class SyncEngine:
             work at all.
         profile: ``True`` (or a :class:`~repro.obs.profile.RoundProfile`
             to fill) records per-round compose/deliver/process/finalize
-            phase timings on ``result.profile``, via a split round path
-            that is observationally identical to the fused one.
-        crash_rounds: Deprecated fault injection — mapping
-            ``node -> round``; the node executes that round and then
-            vanishes without output.  Use
-            :meth:`repro.faults.plan.FaultPlan.crash_stop` instead.
+            phase timings on ``result.profile``.  The scheduler runs its
+            one round loop either way; profiling only binds a
+            :class:`~repro.obs.profile.PhaseClock` that times its phases.
         faults: A :class:`~repro.faults.plan.FaultPlan` (or any object
             with a ``build_controller()`` factory) describing crashes,
             crash-recovery, message adversaries and prediction
-            corruption.  Passing a bare controller instance is
-            deprecated and emits a :class:`DeprecationWarning`.
+            corruption.  Anything else raises :class:`TypeError`.
         on_round_limit: ``"raise"`` (default) raises
             :class:`RoundLimitExceeded` when the budget is blown;
             ``"partial"`` stops instead and returns the partial
@@ -189,7 +184,6 @@ class SyncEngine:
         trace: Optional[TraceRecorder] = None,
         sinks: Optional[Sequence[Any]] = None,
         profile: Union[bool, RoundProfile, None] = None,
-        crash_rounds: Optional[Mapping[int, int]] = None,
         faults: Optional[Any] = None,
         on_round_limit: str = "raise",
         fast: bool = False,
@@ -221,18 +215,18 @@ class SyncEngine:
             raise ValueError(
                 f"fallback must be None or 'interpret', got {fallback!r}"
             )
-        if crash_rounds:
-            warnings.warn(
-                "crash_rounds= is deprecated; pass "
-                "faults=FaultPlan.crash_stop({node: round, ...}) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.graph = graph
         self.model = model
         self.trace = trace
         #: The observability stage: event fan-out plus the round profile.
         self.obs = ObsDispatch(sinks=sinks, trace=trace, profile=profile)
+        #: The phase clock the scheduler's round loop reports to: a
+        #: :class:`PhaseClock` filling the profile, else the shared no-op.
+        self.clock: Any = (
+            NULL_CLOCK
+            if self.obs.profile is None
+            else PhaseClock(self.obs.profile, self)
+        )
         self.max_rounds = max_rounds if max_rounds is not None else 8 * graph.n + 64
         self.on_round_limit = on_round_limit
         self.fast = fast
@@ -253,7 +247,7 @@ class SyncEngine:
         self._seed = seed
         #: The run's result record, shared with transport and interposer.
         self.result = RunResult(model=model)
-        controller = self._resolve_faults(faults, crash_rounds)
+        controller = self._resolve_faults(faults)
         #: The fault stage, or ``None`` — faultless runs pay nothing.
         self.interposer: Optional[FaultInterposer] = (
             FaultInterposer(controller, self.result, self.obs)
@@ -332,47 +326,17 @@ class SyncEngine:
         self._lifecycle = NodeLifecycle(self)
         self._scheduler.bind(self)
 
-    # -- compat: pre-layering attribute names -----------------------------
-    @property
-    def _sinks(self) -> Tuple[Any, ...]:
-        return self.obs.sinks
-
-    @property
-    def _profile(self) -> Optional[RoundProfile]:
-        return self.obs.profile
-
-    @property
-    def _result(self) -> RunResult:
-        return self.result
-
     @staticmethod
-    def _resolve_faults(
-        faults: Optional[Any], crash_rounds: Optional[Mapping[int, int]]
-    ) -> Optional[Any]:
-        """Normalize ``faults``/``crash_rounds`` into one controller."""
-        controller = None
-        if faults is not None:
-            if hasattr(faults, "build_controller"):
-                controller = faults.build_controller()
-            else:
-                warnings.warn(
-                    "passing a bare fault controller as faults= is deprecated; "
-                    "pass a FaultPlan (or any object with a build_controller() "
-                    "factory) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                controller = faults
-        if crash_rounds:
-            if controller is None:
-                # Imported here: the simulator package must stay importable
-                # without repro.faults (which itself imports the simulator).
-                from repro.faults.plan import FaultPlan
-
-                controller = FaultPlan.from_crash_rounds(crash_rounds).build_controller()
-            else:
-                controller.add_crash_rounds(crash_rounds)
-        return controller
+    def _resolve_faults(faults: Optional[Any]) -> Optional[Any]:
+        """The run's fault controller, built from the ``faults`` plan."""
+        if faults is None:
+            return None
+        if not hasattr(faults, "build_controller"):
+            raise TypeError(
+                f"faults= takes a FaultPlan (or any object with a "
+                f"build_controller() factory), got {type(faults).__name__}"
+            )
+        return faults.build_controller()
 
     def _build_context(self, node: int) -> NodeContext:
         return NodeContext(
@@ -396,7 +360,6 @@ class SyncEngine:
         solution a bounded component (e.g. a base algorithm) leaves behind.
         """
         obs = self.obs
-        profile = obs.profile
         result = self.result
         if obs:
             obs.run_begin(
@@ -409,17 +372,8 @@ class SyncEngine:
                     "transport": type(self.transport).__name__,
                 }
             )
-        if profile is not None:
-            setup_start = perf_counter()
-            self._setup_phase()
-            profile.setup = perf_counter() - setup_start
-        else:
-            self._setup_phase()
-        run_round = (
-            self._scheduler.run_round_profiled
-            if profile is not None
-            else self._scheduler.run_round
-        )
+        self.clock.time_setup(self._setup_phase)
+        run_round = self._scheduler.run_round
         round_index = 0
         run_deadline = (
             None if self.deadline_s is None else perf_counter() + self.deadline_s
@@ -485,7 +439,7 @@ class SyncEngine:
             ),
             default=0,
         )
-        result.profile = profile
+        result.profile = obs.profile
         if obs:
             obs.run_end(
                 {

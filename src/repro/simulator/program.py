@@ -39,10 +39,10 @@ class NodeProgram:
 
     Quiescence (the idle contract).  A program may set the class attribute
     ``quiescent_when_idle = True`` to opt into the engine's quiescence
-    scheduler (``run(..., schedule="quiescent")``).  Doing so promises
-    that in any round where the node is *idle* — it received no message in
-    the previous round, no neighbor terminated/crashed/recovered since it
-    last ran, and no timed wakeup (:meth:`NodeContext.wake_at` /
+    scheduler (``policy=ExecutionPolicy(schedule="quiescent")``).  Doing
+    so promises that in any round where the node is *idle* — it received
+    no message in the previous round, no neighbor terminated/crashed/
+    recovered since it last ran, and no timed wakeup (:meth:`NodeContext.wake_at` /
     :meth:`NodeContext.request_wakeup`) is due — the program is a no-op:
 
     * :meth:`compose` returns an empty outbox and mutates no state the

@@ -24,20 +24,22 @@ loop are now three implementations of one protocol:
   happen again.  At ``phi = 0`` with no send timeout it is bit-identical
   to the quiescent (and hence the eager) schedule.
 
-Each scheduler provides a fused ``run_round`` and (where supported) a
-split ``run_round_profiled`` that times compose/deliver/process/finalize
-separately while staying observationally identical — same outputs, same
-message counts, same event order.
+Each scheduler has one round loop, ``run_round``.  The profiling
+schedulers run its phases one after another — compose every outbox,
+deliver (replays first, then fresh sends), process, finalize — and report
+each boundary to the run's phase clock (:class:`~repro.obs.profile.
+PhaseClock`, or a shared do-nothing clock when the run is not profiled),
+so a profiled run is the same run, timed.
 
 Writing a new scheduler means subclassing :class:`Scheduler`, implementing
-``run_round``, and wiring the wake hooks (``note_setup``, ``on_delivery``
+``run_round`` (calling the phase clock, or setting ``supports_profile =
+False``), and wiring the wake hooks (``note_setup``, ``on_delivery``
 bookkeeping, ``on_terminated``/``on_crashed``/``on_recovered``) if the
 policy needs per-round wake state; see docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simulator.adversary import DelayAdversary, RetryPolicy
@@ -58,19 +60,33 @@ class QuiescenceViolation(RuntimeError):
     """
 
 
+def _non_neighbor_error(
+    node: int, outbox: Dict[int, Any], neighbors: Any, round_index: int
+) -> ValueError:
+    """The error for an outbox addressed to a non-neighbor (the model
+    sends only along edges); callers test ``neighbors.issuperset(outbox)``
+    inline, since that check runs once per sender per round."""
+    receiver = next(key for key in outbox if key not in neighbors)
+    return ValueError(
+        f"node {node} sent to non-neighbor {receiver} in round {round_index}"
+    )
+
+
 class Scheduler:
     """Protocol for round-scheduling policies.
 
     A scheduler is bound to one engine run via :meth:`bind` and then
-    drives every round through :meth:`run_round` (or
-    :meth:`run_round_profiled` when the run profiles).  The remaining
+    drives every round through :meth:`run_round`, reporting its phase
+    boundaries to the engine's phase clock (``rt.clock``).  The remaining
     hooks let wake-tracking policies observe the lifecycle events that
     constitute wake conditions; the eager policy leaves them as no-ops so
     the default hot path carries no wake bookkeeping at all.
 
     Attributes:
         tracks_wakes: Whether the policy maintains wake-set state.
-        supports_profile: Whether :meth:`run_round_profiled` exists.
+        supports_profile: Whether :meth:`run_round` reports its phases
+            to the phase clock (runs with ``profile=True`` are refused
+            otherwise).
         processed_last_round: Nodes the last executed round actually
             processed (``None`` means every active node) — keeps
             stuck-report inbox snapshots identical across schedules.
@@ -144,9 +160,6 @@ class Scheduler:
     def run_round(self, round_index: int) -> None:
         raise NotImplementedError
 
-    def run_round_profiled(self, round_index: int) -> None:
-        raise NotImplementedError
-
     def finish(self) -> None:
         """Called once after the round loop, before result aggregation.
 
@@ -166,6 +179,7 @@ class EagerScheduler(Scheduler):
 
     def run_round(self, round_index: int) -> None:
         rt = self.rt
+        clock = rt.clock
         rt.apply_recoveries(round_index)
         # Local bindings keep the per-round loops free of attribute churn;
         # the fault/sink hooks are skipped entirely when nothing is
@@ -183,26 +197,36 @@ class EagerScheduler(Scheduler):
         transport.round = round_index
         remote = transport.remote
 
-        for node in order:
-            inboxes[node].clear()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(round_index, transport, active)
-
         # Compose phase: every active node decides its messages using state
         # from the end of the previous round.
+        clock.begin("compose")
+        # Two flat lists, not (node, outbox) pairs: every outbox outlives
+        # the compose phase, and a pair per sender would double the
+        # objects the cyclic GC promotes each round, which costs extra
+        # full collections on large graphs.
+        senders: List[int] = []
+        outboxes: List[Dict[int, Any]] = []
         for node in order:
+            inboxes[node].clear()
             ctx = contexts[node]
             ctx.round = round_index
             outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            neighbors = ctx.neighbors
-            for receiver, payload in outbox.items():
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
+            if outbox:
+                if not ctx.neighbors.issuperset(outbox):
+                    raise _non_neighbor_error(
+                        node, outbox, ctx.neighbors, round_index
                     )
+                senders.append(node)
+                outboxes.append(outbox)
+
+        # Deliver phase: adversarial replays land before fresh sends, and
+        # walking the outboxes in compose order fixes each receiver's
+        # inbox order (senders in ascending id).
+        clock.mark("deliver")
+        if interposer is not None and interposer.has_pending_replays:
+            interposer.deliver_replays(round_index, transport, active)
+        for node, outbox in zip(senders, outboxes):
+            for receiver, payload in outbox.items():
                 if emit is not None:
                     emit(
                         round_index, "send", node, {"to": receiver, "payload": payload}
@@ -224,100 +248,18 @@ class EagerScheduler(Scheduler):
                     if payload is DROPPED:
                         continue
                 deposit(node, receiver, payload)
-
         # Boundary barrier: merge cut messages before any node processes
         # (a no-op under the local transport).
         transport.sync(round_index, active)
 
         # Process phase: every active node consumes its inbox.
+        clock.mark("process")
         for node in order:
             programs[node].process(contexts[node], inboxes[node])
 
+        clock.mark("finalize")
         rt.finalize_round(round_index)
-
-    def run_round_profiled(self, round_index: int) -> None:
-        """One round with the compose/deliver split timed per phase.
-
-        Observationally identical to :meth:`run_round` — same outputs,
-        message counts, event order — but compose collects every outbox
-        before any delivery, so the two phases can be timed separately.
-        (Replays still land before fresh sends, and the inbox insertion
-        order per receiver is unchanged because delivery walks nodes in
-        the same order compose did.)
-        """
-        rt = self.rt
-        profile = rt.obs.profile
-        rt.apply_recoveries(round_index)
-        active = rt._active
-        order = rt._active_order
-        programs = rt.programs
-        contexts = rt.contexts
-        transport = rt.transport
-        inboxes = transport.inboxes
-        deposit = transport.deposit
-        emit = rt.obs.emit if rt.obs else None
-        interposer = rt.interposer
-        transport.round = round_index
-        remote = transport.remote
-        messages_before = rt.result.message_count
-        participants = len(order)
-
-        compose_start = perf_counter()
-        outboxes: List[Tuple[int, Dict[int, Any]]] = []
-        for node in order:
-            inboxes[node].clear()
-            ctx = contexts[node]
-            ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            neighbors = ctx.neighbors
-            for receiver in outbox:
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
-            outboxes.append((node, outbox))
-
-        deliver_start = perf_counter()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(round_index, transport, active)
-        for node, outbox in outboxes:
-            for receiver, payload in outbox.items():
-                if emit is not None:
-                    emit(
-                        round_index, "send", node, {"to": receiver, "payload": payload}
-                    )
-                if receiver not in active:
-                    if receiver in remote:
-                        transport.export(node, receiver, payload)
-                    continue
-                if interposer is not None:
-                    payload = interposer.adjudicate(
-                        round_index, node, receiver, payload
-                    )
-                    if payload is DROPPED:
-                        continue
-                deposit(node, receiver, payload)
-        transport.sync(round_index, active)
-
-        process_start = perf_counter()
-        for node in order:
-            programs[node].process(contexts[node], inboxes[node])
-
-        finalize_start = perf_counter()
-        rt.finalize_round(round_index)
-        finalize_end = perf_counter()
-        profile.add_round(
-            round_index,
-            compose=deliver_start - compose_start,
-            deliver=process_start - deliver_start,
-            process=finalize_start - process_start,
-            finalize=finalize_end - finalize_start,
-            messages=rt.result.message_count - messages_before,
-            active=participants,
-        )
+        clock.end(round_index)
 
 
 class QuiescentScheduler(Scheduler):
@@ -415,9 +357,8 @@ class QuiescentScheduler(Scheduler):
     # -- round execution ------------------------------------------------
     def run_round(self, round_index: int) -> None:
         rt = self.rt
+        clock = rt.clock
         rt.apply_recoveries(round_index)
-        scheduled = self.compute_wake_order(round_index)
-        next_wake = self._next_wake
         active = rt._active
         programs = rt.programs
         contexts = rt.contexts
@@ -428,30 +369,38 @@ class QuiescentScheduler(Scheduler):
         interposer = rt.interposer
         transport.round = round_index
         remote = transport.remote
+
+        # Compose phase, charged the wake-set computation too (it is the
+        # scheduler's overhead).
+        clock.begin("compose")
+        scheduled = self.compute_wake_order(round_index)
+        next_wake = self._next_wake
         #: Nodes to run in the process phase; sleeping nodes keep stale
         #: inboxes, cleared lazily when a delivery first wakes them.
         process_set = set(scheduled)
-
+        # Flat lists, not pairs, as in the eager loop.
+        senders: List[int] = []
+        outboxes: List[Dict[int, Any]] = []
         for node in scheduled:
             inboxes[node].clear()
+            ctx = contexts[node]
+            ctx.round = round_index
+            outbox = programs[node].compose(ctx)
+            if outbox:
+                if not ctx.neighbors.issuperset(outbox):
+                    raise _non_neighbor_error(
+                        node, outbox, ctx.neighbors, round_index
+                    )
+                senders.append(node)
+                outboxes.append(outbox)
+
+        clock.mark("deliver")
         if interposer is not None and interposer.has_pending_replays:
             interposer.deliver_replays(
                 round_index, transport, active, awaken=process_set, wake=next_wake
             )
-
-        for node in scheduled:
-            ctx = contexts[node]
-            ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            neighbors = ctx.neighbors
+        for node, outbox in zip(senders, outboxes):
             for receiver, payload in outbox.items():
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
                 if emit is not None:
                     emit(
                         round_index, "send", node, {"to": receiver, "payload": payload}
@@ -475,99 +424,12 @@ class QuiescentScheduler(Scheduler):
                     process_set.add(receiver)
                 deposit(node, receiver, payload)
                 next_wake.add(receiver)
-
         # Boundary barrier: inbound cut messages wake their receivers and
         # join the process phase exactly as local deliveries would have
         # (a no-op under the local transport).
         transport.sync(round_index, active, process_set, next_wake)
 
-        if len(process_set) == len(scheduled):
-            process_order: List[int] = scheduled
-        else:
-            process_order = sorted(process_set)
-        for node in process_order:
-            ctx = contexts[node]
-            ctx.round = round_index
-            programs[node].process(ctx, inboxes[node])
-            self._collect_wake(node, ctx)
-        self.processed_last_round = process_set
-        rt.finalize_round(round_index, participants=process_order)
-
-    def run_round_profiled(self, round_index: int) -> None:
-        """Quiescent scheduling with the split, per-phase-timed round path.
-
-        Wake-set computation is charged to the compose phase (it is the
-        scheduler's overhead); everything else mirrors
-        :meth:`EagerScheduler.run_round_profiled` restricted to the
-        wake-set.
-        """
-        rt = self.rt
-        profile = rt.obs.profile
-        rt.apply_recoveries(round_index)
-        active = rt._active
-        programs = rt.programs
-        contexts = rt.contexts
-        transport = rt.transport
-        inboxes = transport.inboxes
-        deposit = transport.deposit
-        emit = rt.obs.emit if rt.obs else None
-        interposer = rt.interposer
-        transport.round = round_index
-        remote = transport.remote
-        messages_before = rt.result.message_count
-        participants = len(rt._active_order)
-
-        compose_start = perf_counter()
-        scheduled = self.compute_wake_order(round_index)
-        next_wake = self._next_wake
-        process_set = set(scheduled)
-        outboxes: List[Tuple[int, Dict[int, Any]]] = []
-        for node in scheduled:
-            inboxes[node].clear()
-            ctx = contexts[node]
-            ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            neighbors = ctx.neighbors
-            for receiver in outbox:
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
-            outboxes.append((node, outbox))
-
-        deliver_start = perf_counter()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(
-                round_index, transport, active, awaken=process_set, wake=next_wake
-            )
-        for node, outbox in outboxes:
-            for receiver, payload in outbox.items():
-                if emit is not None:
-                    emit(
-                        round_index, "send", node, {"to": receiver, "payload": payload}
-                    )
-                if receiver not in active:
-                    if receiver in remote:
-                        transport.export(node, receiver, payload)
-                    continue
-                if interposer is not None:
-                    payload = interposer.adjudicate(
-                        round_index, node, receiver, payload
-                    )
-                    if payload is DROPPED:
-                        next_wake.add(receiver)
-                        continue
-                if receiver not in process_set:
-                    inboxes[receiver].clear()
-                    process_set.add(receiver)
-                deposit(node, receiver, payload)
-                next_wake.add(receiver)
-        transport.sync(round_index, active, process_set, next_wake)
-
-        process_start = perf_counter()
+        clock.mark("process")
         if len(process_set) == len(scheduled):
             process_order: List[int] = scheduled
         else:
@@ -579,19 +441,9 @@ class QuiescentScheduler(Scheduler):
             self._collect_wake(node, ctx)
         self.processed_last_round = process_set
 
-        finalize_start = perf_counter()
+        clock.mark("finalize")
         rt.finalize_round(round_index, participants=process_order)
-        finalize_end = perf_counter()
-        profile.add_round(
-            round_index,
-            compose=deliver_start - compose_start,
-            deliver=process_start - deliver_start,
-            process=finalize_start - process_start,
-            finalize=finalize_end - finalize_start,
-            messages=rt.result.message_count - messages_before,
-            active=participants,
-            scheduled=len(process_order),
-        )
+        clock.end(round_index, scheduled=len(process_order))
 
 
 class QuiescentDebugScheduler(QuiescentScheduler):
@@ -643,13 +495,9 @@ class QuiescentDebugScheduler(QuiescentScheduler):
                     f"a non-empty outbox in round {round_index} while idle: "
                     f"schedule='quiescent' would have skipped this send"
                 )
-            neighbors = ctx.neighbors
+            if not ctx.neighbors.issuperset(outbox):
+                raise _non_neighbor_error(node, outbox, ctx.neighbors, round_index)
             for receiver, payload in outbox.items():
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
                 if emit is not None:
                     emit(
                         round_index, "send", node, {"to": receiver, "payload": payload}
@@ -911,13 +759,9 @@ class AsyncScheduler(QuiescentScheduler):
             outbox = programs[node].compose(ctx)
             if not outbox:
                 continue
-            neighbors = ctx.neighbors
+            if not ctx.neighbors.issuperset(outbox):
+                raise _non_neighbor_error(node, outbox, ctx.neighbors, round_index)
             for receiver, payload in outbox.items():
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
                 if emit is not None:
                     emit(
                         round_index, "send", node, {"to": receiver, "payload": payload}
@@ -977,34 +821,14 @@ class VectorizedScheduler(Scheduler):
         self.kernel.setup()
 
     def run_round(self, round_index: int) -> None:
-        self.kernel.run_round(round_index)
-
-    def run_round_profiled(self, round_index: int) -> None:
-        """One timed kernel invocation per round.
-
-        The interpreted phase split does not exist here; the whole
-        round is charged to the ``kernel`` profile phase, and
-        ``scheduled`` records how many nodes observably acted (the
-        vectorized analogue of the quiescent wake-set size).
-        """
-        rt = self.rt
-        profile = rt.obs.profile
-        messages_before = rt.result.message_count
-        active_before = len(rt._active)
-        start = perf_counter()
+        # The interpreted phase split does not exist here: the whole round
+        # is charged to the ``kernel`` phase, and ``scheduled`` counts the
+        # nodes that observably acted (the vectorized analogue of the
+        # quiescent wake-set size).
+        clock = self.rt.clock
+        clock.begin("kernel")
         acted = self.kernel.run_round(round_index)
-        elapsed = perf_counter() - start
-        profile.add_round(
-            round_index,
-            compose=0.0,
-            deliver=0.0,
-            process=0.0,
-            finalize=0.0,
-            kernel=elapsed,
-            messages=rt.result.message_count - messages_before,
-            active=active_before,
-            scheduled=int(acted),
-        )
+        clock.end(round_index, scheduled=int(acted))
 
     def finish(self) -> None:
         self.kernel.flush()

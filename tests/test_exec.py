@@ -621,17 +621,15 @@ class TestSweepBareControllerWarning:
         )
         return sweep
 
-    def test_bare_controller_warns_from_sweep(self):
-        """The engine-side deprecation fires inside pool workers where
-        nobody sees it; the sweep path must warn on the parent side."""
+    def test_bare_controller_refused_from_sweep(self):
+        """A cell whose faults are a bare controller fails loudly with the
+        engine's TypeError instead of running.  (Cell exceptions propagate
+        out of the sweep; failure rows are reserved for lost workers.)"""
         from repro.faults import FaultPlan
 
         controller = FaultPlan.crash_stop({1: 2}).build_controller()
-        # Broad capture: the serial run also fires the engine-side
-        # deprecation, which must not leak (and -W error would promote it).
-        with pytest.warns(DeprecationWarning) as record:
+        with pytest.raises(TypeError, match="FaultPlan"):
             self._sweep(controller).run("serial")
-        assert any("sweep cell 'a'" in str(w.message) for w in record)
 
     def test_fault_plan_does_not_warn(self):
         from repro.faults import FaultPlan

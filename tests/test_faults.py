@@ -5,8 +5,7 @@ what happens outside it.  These tests pin down the subsystem's contracts:
 declarative plans validate their inputs, every adversarial decision is a
 deterministic function of (seed, round, edge), crash-recovery rejoins
 nodes with fresh state, partial runs return a measurable
-:class:`StuckReport`, and the legacy ``crash_rounds`` path is exactly
-equivalent to the plan it desugars into.
+:class:`StuckReport`, and the engine takes fault plans only.
 """
 
 import pytest
@@ -270,26 +269,6 @@ class TestCrashRecovery:
         assert result.records[3].recovery_round is None
         assert 3 not in result.outputs
 
-    def test_crash_rounds_backcompat_equivalence(self):
-        """Legacy crash_rounds= warns, and the plan it desugars to is
-        identical to FaultPlan.crash_stop."""
-        graph = erdos_renyi(24, 0.2, seed=7)
-        crash_rounds = {5: 2, 9: 4}
-        with pytest.warns(DeprecationWarning, match="crash_stop"):
-            legacy = run(
-                GreedyMISAlgorithm(),
-                graph,
-                crash_rounds=crash_rounds,
-                max_rounds=1000,
-            )
-        plan = run(
-            GreedyMISAlgorithm(),
-            graph,
-            faults=FaultPlan.from_crash_rounds(crash_rounds),
-            max_rounds=1000,
-        )
-        assert repr(legacy) == repr(plan)
-
 
 class TestPredictionAdversary:
     def test_flips_are_seeded_and_partial(self):
@@ -442,46 +421,21 @@ class TestChurnEdgePerturbation:
 
 
 class TestBareControllerDeprecation:
-    """Passing a pre-built controller as ``faults=`` is a legacy entry
-    point: it bypasses the plan layer and couples callers to the engine's
-    internal hook API.  The shim still works but warns."""
+    """A pre-built controller as ``faults=`` bypasses the plan layer and
+    couples callers to the engine's internal hook API.  The engine only
+    takes plans (objects with ``build_controller()``) and refuses the
+    rest loudly."""
 
-    def test_bare_controller_warns(self):
+    def test_bare_controller_raises(self):
         from repro.algorithms.mis.greedy import GreedyMISProgram
 
         plan = FaultPlan.message_loss(0.4, seed=7)
-        graph = line(8)
-        with pytest.warns(DeprecationWarning, match="bare fault controller"):
-            engine = SyncEngine(
-                graph,
+        with pytest.raises(TypeError, match="FaultPlan"):
+            SyncEngine(
+                line(8),
                 lambda node: GreedyMISProgram(),
                 faults=plan.build_controller(),
             )
-        assert engine.interposer is not None
-
-    def test_bare_controller_behaves_like_the_plan(self):
-        import warnings
-
-        from repro.algorithms.mis.greedy import GreedyMISProgram
-
-        plan = FaultPlan.message_loss(0.4, seed=7)
-        graph = line(8)
-
-        def outcome(faults):
-            engine = SyncEngine(
-                graph,
-                lambda node: GreedyMISProgram(),
-                faults=faults,
-                max_rounds=60,
-                on_round_limit="partial",
-            )
-            result = engine.run()
-            return (result.outputs, result.rounds, result.dropped_messages)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = outcome(plan.build_controller())
-        assert legacy == outcome(plan)
 
     def test_plan_path_does_not_warn(self):
         import warnings

@@ -244,3 +244,29 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["run", "--problem", "mis", "--template", "nope"])
+
+    @pytest.mark.parametrize("schedule", ["async", "quiescent-debug"])
+    @pytest.mark.parametrize("command", ["profile", "sweep"])
+    def test_profiling_an_unprofiled_schedule_exits_cleanly(
+        self, command, schedule
+    ):
+        """Both profiling subcommands refuse before running, naming the
+        schedules that do profile, instead of ending in a traceback."""
+        from repro import schedules
+        from repro.cli import main
+
+        argv = [
+            command, "--problem", "mis", "--template", "simple",
+            "--graph", "gnp:12:0.3", "--schedule", schedule,
+        ]
+        if command == "sweep":
+            argv += ["--profile", "--rates", "0", "--repeats", "1",
+                     "--backend", "serial"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        message = str(exit_info.value.code)
+        assert f"--schedule {schedule}" in message
+        profiled = sorted(
+            name for name, caps in schedules().items() if caps["profile"]
+        )
+        assert profiled and all(name in message for name in profiled)

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.core import RunConfig, run
+from repro.algorithms.mis import GreedyMISAlgorithm
+from repro.core import ExecutionPolicy, RunConfig, run
 from repro.faults import FaultPlan
 from repro.faults.plan import MessageAdversary
 from repro.graphs import erdos_renyi, grid2d
@@ -134,8 +135,8 @@ class TestEventSinks:
         result = run(algorithm, graph, predictions, seed=1)
         assert result.profile is None
         engine = SyncEngine(grid2d(2, 2), lambda v: _Noop())
-        assert engine._sinks == ()
-        assert engine._profile is None
+        assert engine.obs.sinks == ()
+        assert engine.obs.profile is None
 
     def test_custom_sink_needs_only_the_hooks_it_wants(self):
         class CountingSink(EventSink):
@@ -187,23 +188,44 @@ class TestRoundProfile:
 
     def test_profiled_run_is_observationally_identical(self):
         """Same outputs, rounds, message counts and event stream as the
-        unprofiled path — the split loop only adds timers."""
-        kwargs = dict(
-            seed=7, faults=_fault_plan(), max_rounds=60, on_round_limit="partial"
-        )
-        algorithm, graph, predictions = _mis_setup()
-        sink = MemoryEventSink()
-        profiled = run(
-            algorithm, graph, predictions, sinks=[sink], profile=True, **kwargs
-        )
-        algorithm, graph, predictions = _mis_setup()
-        plain_sink = MemoryEventSink()
-        plain = run(algorithm, graph, predictions, sinks=[plain_sink], **kwargs)
+        unprofiled run, on every schedule that profiles — the phase
+        clock only adds timers.  (The cases run in one test so its id
+        stays stable.)"""
+        for schedule in ("eager", "quiescent"):
+            kwargs = dict(
+                seed=7,
+                faults=_fault_plan(),
+                max_rounds=60,
+                on_round_limit="partial",
+                policy=ExecutionPolicy(schedule=schedule),
+            )
+            algorithm, graph, predictions = _mis_setup()
+            sink = MemoryEventSink()
+            profiled = run(
+                algorithm, graph, predictions, sinks=[sink], profile=True,
+                **kwargs,
+            )
+            algorithm, graph, predictions = _mis_setup()
+            plain_sink = MemoryEventSink()
+            plain = run(algorithm, graph, predictions, sinks=[plain_sink], **kwargs)
+            assert profiled.profile is not None and plain.profile is None
+            assert profiled.outputs == plain.outputs, schedule
+            assert profiled.rounds == plain.rounds, schedule
+            assert profiled.message_count == plain.message_count, schedule
+            assert profiled.dropped_messages == plain.dropped_messages, schedule
+            assert sink.events == plain_sink.events, schedule
+
+        # Kernels take no fault plans or sinks: compare the run itself.
+        graph = erdos_renyi(60, 0.08, seed=3)
+        vectorized = ExecutionPolicy(schedule="vectorized")
+        profiled = run(GreedyMISAlgorithm(), graph, seed=7, profile=True,
+                       policy=vectorized)
+        plain = run(GreedyMISAlgorithm(), graph, seed=7, policy=vectorized)
+        assert profiled.kernel and profiled.profile is not None
         assert profiled.outputs == plain.outputs
         assert profiled.rounds == plain.rounds
         assert profiled.message_count == plain.message_count
-        assert profiled.dropped_messages == plain.dropped_messages
-        assert sink.events == plain_sink.events
+        assert profiled.records == plain.records
 
     def test_one_sample_per_executed_round(self):
         result = self._profiled()

@@ -21,7 +21,17 @@ def all_repro_modules():
 
 class TestPackaging:
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "2.0.0"
+
+    def test_pyproject_takes_its_version_from_the_package(self):
+        # Plain text, not tomllib: the oldest supported Python lacks it.
+        text = (REPO_ROOT / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
+        static = [
+            line for line in text.splitlines() if line.startswith('version = "')
+        ]
+        assert static == [], static
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

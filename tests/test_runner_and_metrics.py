@@ -19,7 +19,7 @@ from repro.bench.algorithms import (
     mis_rooted_simple,
     mis_simple,
 )
-from repro.core import RunConfig, run, run_with_trace
+from repro.core import RunConfig, run
 from repro.graphs import erdos_renyi, line, random_rooted_tree
 from repro.predictions import noisy_predictions
 from repro.problems import EDGE_COLORING, MATCHING, MIS, VERTEX_COLORING
@@ -50,17 +50,6 @@ class TestRunner:
 
     def test_run_without_trace_has_no_recorder(self, path5):
         assert run(GreedyMISAlgorithm(), path5).trace is None
-
-    def test_run_with_trace_deprecated_wrapper(self, path5):
-        with pytest.warns(DeprecationWarning, match="trace=True"):
-            result, trace = run_with_trace(GreedyMISAlgorithm(), path5)
-        assert trace is result.trace
-        assert trace.termination_rounds()
-
-    def test_run_with_trace_requires_predictions_too(self, path5):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                run_with_trace(mis_simple(), path5)
 
     def test_run_config_is_single_entrypoint(self, path5):
         by_config = run(

@@ -61,12 +61,23 @@ class TestBasicExecution:
             SyncEngine(line(3), lambda v: _Stubborn(), max_rounds=5).run()
 
     def test_send_to_non_neighbor_raises(self):
+        """Every round loop rejects the send with the same error, profiled
+        or not.  (The cases run in one test so its id stays stable.)"""
+
         class Bad(NodeProgram):
             def compose(self, ctx):
-                return {999: "oops"}
+                return {2: "ok", 999: "oops"} if ctx.node_id == 1 else {}
 
-        with pytest.raises(ValueError, match="non-neighbor"):
-            SyncEngine(line(3), lambda v: Bad()).run()
+        messages = set()
+        for schedule in ("eager", "quiescent"):
+            for profile in (False, True):
+                engine = SyncEngine(
+                    line(3), lambda v: Bad(), schedule=schedule, profile=profile
+                )
+                with pytest.raises(ValueError, match="non-neighbor") as error:
+                    engine.run()
+                messages.add(str(error.value))
+        assert messages == {"node 1 sent to non-neighbor 999 in round 1"}
 
     def test_all_terminated_flag(self):
         result = SyncEngine(line(4), lambda v: _Echo()).run()

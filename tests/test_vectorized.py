@@ -162,16 +162,15 @@ class TestExecutionPolicy:
         assert config.phi == 2
         assert config.policy.phi == 2
 
-    def test_flat_kwargs_warn_on_runconfig(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            config = RunConfig(schedule="quiescent")
-        assert config.policy == ExecutionPolicy(schedule="quiescent")
-
-    def test_flat_kwargs_warn_on_run(self):
-        graph = line(6)
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            result = run(GreedyMISAlgorithm(), graph, schedule="quiescent")
-        assert result.all_terminated
+    def test_flat_kwargs_are_refused(self):
+        """The policy's fields are read-only on RunConfig and run(): the
+        only way in is ``policy=ExecutionPolicy(...)``."""
+        with pytest.raises(TypeError, match="schedule"):
+            RunConfig(schedule="quiescent")
+        with pytest.raises(TypeError, match="schedule"):
+            run(GreedyMISAlgorithm(), line(6), schedule="quiescent")
+        with pytest.raises(TypeError, match="schedule"):
+            RunConfig().with_overrides(schedule="quiescent")
 
     def test_policy_kwarg_does_not_warn(self):
         graph = line(6)
@@ -185,7 +184,7 @@ class TestExecutionPolicy:
         config = RunConfig(seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            updated = config.with_overrides(schedule="vectorized", seed=2)
+            updated = config.with_overrides(policy=VECTORIZED, seed=2)
         assert updated.schedule == "vectorized"
         assert updated.seed == 2
         assert config.schedule == "eager"  # frozen original untouched
