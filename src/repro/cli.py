@@ -656,7 +656,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    """Run the E1..E29 benchmark suite (requires a source checkout)."""
+    """Run the E1..E31 benchmark suite (requires a source checkout)."""
     import os
 
     if not os.path.isdir(args.benchmarks):
@@ -980,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     example_parser.add_argument("name", help=f"one of {sorted(EXAMPLES)}")
 
     reproduce_parser = subparsers.add_parser(
-        "reproduce", help="run the full E1..E29 experiment suite"
+        "reproduce", help="run the full E1..E31 experiment suite"
     )
     reproduce_parser.add_argument("--benchmarks", default="benchmarks")
     reproduce_parser.add_argument(

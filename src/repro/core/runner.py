@@ -27,6 +27,7 @@ from typing import Any, Mapping, Optional
 
 from repro.core.algorithm import DistributedAlgorithm
 from repro.graphs.graph import DistGraph
+from repro.simulator.collector import paused_collector
 from repro.simulator.engine import SyncEngine
 from repro.simulator.metrics import RunResult
 from repro.simulator.models import ExecutionModel
@@ -291,26 +292,34 @@ def run(
         policy=_UNSET if policy is None else policy,
     )
     recorder = TraceRecorder() if config.trace else None
-    engine = SyncEngine(
-        graph,
-        lambda node: algorithm.build_program(),
-        predictions=predictions,
-        model=config.model or algorithm.model,
-        max_rounds=config.max_rounds,
-        seed=config.effective_seed,
-        trace=recorder,
-        sinks=sinks,
-        profile=config.profile,
-        faults=config.faults,
-        on_round_limit=config.on_round_limit,
-        fast=config.fast,
-        schedule=config.schedule,
-        phi=config.phi,
-        send_timeout=config.send_timeout,
-        max_retries=config.max_retries,
-        deadline_s=config.deadline_s,
-        fallback=config.fallback,
-    )
-    result = engine.run()
+    # The collector stays off the per-run graph while it is alive, and
+    # the released engine is freed by refcount before the guard's one
+    # young-generation pass (see repro.simulator.collector).
+    with paused_collector():
+        engine = SyncEngine(
+            graph,
+            lambda node: algorithm.build_program(),
+            predictions=predictions,
+            model=config.model or algorithm.model,
+            max_rounds=config.max_rounds,
+            seed=config.effective_seed,
+            trace=recorder,
+            sinks=sinks,
+            profile=config.profile,
+            faults=config.faults,
+            on_round_limit=config.on_round_limit,
+            fast=config.fast,
+            schedule=config.schedule,
+            phi=config.phi,
+            send_timeout=config.send_timeout,
+            max_retries=config.max_retries,
+            deadline_s=config.deadline_s,
+            fallback=config.fallback,
+        )
+        try:
+            result = engine.run()
+        finally:
+            engine._release()
+        del engine
     result.trace = recorder
     return result

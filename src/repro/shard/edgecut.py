@@ -61,6 +61,7 @@ from typing import (
 from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
 from repro.shard.store import SharedCSRStore, reset_worker_state
+from repro.simulator.collector import paused_collector
 from repro.simulator.engine import RoundLimitExceeded, SyncEngine
 from repro.simulator.metrics import RunResult, StuckReport
 from repro.simulator.transport import BoundaryTransport, bandwidth_error
@@ -437,11 +438,18 @@ def _drive_shard(conn: Any, in_process: bool) -> None:
             if predictions is not None:
                 predictions = predictions.build(graph)
         link = _Link(conn)
-        engine = _build_shard_engine(
-            graph, algorithm, predictions, config, shard, shard_count, link
-        )
-        _run_rounds(engine, link)
-        result = engine.result
+        # As in repro.core.runner.run: no cyclic collection while the
+        # shard engine lives, and refcount frees it once released.
+        with paused_collector():
+            engine = _build_shard_engine(
+                graph, algorithm, predictions, config, shard, shard_count, link
+            )
+            try:
+                _run_rounds(engine, link)
+            finally:
+                engine._release()
+            result = engine.result
+            del engine
         if not in_process:
             result.records = {}
         conn.send(("done", result))

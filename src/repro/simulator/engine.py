@@ -457,6 +457,24 @@ class SyncEngine:
             )
         return result
 
+    def _release(self) -> None:
+        """Cut every stage's back-reference to this engine.
+
+        The stages hold the engine as ``rt``, which makes the whole
+        per-run object graph cyclic.  An owner that is done with the
+        engine (``repro.core.runner.run``, the edge-cut shard driver)
+        calls this so reference counting frees the graph as soon as the
+        owner drops the engine, without a full cyclic collection.  A
+        stage added with an ``rt`` handle must be cut here too.  The
+        engine cannot run again afterwards; ``result`` stays valid.
+        """
+        self._scheduler.rt = None
+        self._lifecycle.rt = None
+        if isinstance(self.clock, PhaseClock):
+            self.clock.rt = None
+        if self._kernel is not None:
+            self._kernel.rt = None
+
     def _has_pending_recoveries(self, round_index: int) -> bool:
         """Whether a crashed node is still scheduled to rejoin later.
 

@@ -200,10 +200,11 @@ class EagerScheduler(Scheduler):
         # Compose phase: every active node decides its messages using state
         # from the end of the previous round.
         clock.begin("compose")
-        # Two flat lists, not (node, outbox) pairs: every outbox outlives
-        # the compose phase, and a pair per sender would double the
-        # objects the cyclic GC promotes each round, which costs extra
-        # full collections on large graphs.
+        # Two flat lists, not (node, outbox) pairs: a pair per sender
+        # would double the objects allocated each round.  run() and the
+        # edge-cut driver pause the cyclic collector, so that matters
+        # only to direct SyncEngine callers, whose collector would scan
+        # the extra objects.
         senders: List[int] = []
         outboxes: List[Dict[int, Any]] = []
         for node in order:
