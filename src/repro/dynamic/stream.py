@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Set, Tuple
 
 from repro.graphs.churn import sample_non_edges
+from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 
 Edge = Tuple[int, int]
@@ -68,32 +69,45 @@ def apply_batch(graph: DistGraph, batch: EpochBatch, name: str = "") -> DistGrap
     predictions stay inside the identifier bound.
     """
     removed = set(batch.remove_nodes)
-    adjacency: Dict[int, Set[int]] = {
-        node: {other for other in graph.neighbors(node) if other not in removed}
-        for node in graph.nodes
-        if node not in removed
+    # Untouched nodes keep the graph's shared neighbor frozenset; a node
+    # the batch touches gets a private mutable copy on first touch.
+    adjacency: Dict[int, AbstractSet[int]] = {
+        node: graph.neighbors(node) for node in graph.nodes if node not in removed
     }
+
+    def mutable(node: int) -> Set[int]:
+        row = adjacency[node]
+        if type(row) is frozenset:
+            row = adjacency[node] = set(row)
+        return row
+
+    for node in removed:
+        if node in graph:
+            for other in graph.neighbors(node):
+                if other in adjacency:
+                    mutable(other).discard(node)
     for u, v in batch.delete_edges:
         if u in adjacency and v in adjacency:
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
+            mutable(u).discard(v)
+            mutable(v).discard(u)
     for node in batch.add_nodes:
-        adjacency.setdefault(node, set())
+        adjacency.setdefault(int(node), set())
     for u, v in batch.insert_edges:
         if u in adjacency and v in adjacency and u != v:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+            mutable(u).add(v)
+            mutable(v).add(u)
     top = max(adjacency, default=0)
     attrs = {
         node: dict(graph.node_attrs(node))
         for node in adjacency
         if node in graph and graph.node_attrs(node)
     }
-    return DistGraph(
-        {node: sorted(others) for node, others in adjacency.items()},
-        d=max(graph.d, top),
-        attrs=attrs,
-        name=name or graph.name,
+    # Symmetric and self-loop-free by construction: no re-validation.
+    return DistGraph._from_csr(
+        CSRTopology.from_adjacency(adjacency),
+        max(graph.d, top),
+        attrs,
+        name or graph.name,
     )
 
 

@@ -15,6 +15,7 @@ simulation, so error measures are cheap to evaluate inside sweeps.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Any, Dict, FrozenSet, List, Mapping, Tuple
 
 from repro.graphs.graph import DistGraph
@@ -34,16 +35,17 @@ def mis_base_partial(graph: DistGraph, predictions: Predictions) -> Outputs:
     independent set ``I``; ``I`` outputs 1 and the neighbors of ``I``
     output 0.
     """
+    zeros = {node for node, value in predictions.items() if value == 0}
+    all_zero = zeros.issuperset
+    neighbors = graph.neighbors
     independent = {
         node
         for node in graph.nodes
-        if predictions.get(node) == 1
-        and all(predictions.get(other) == 0 for other in graph.neighbors(node))
+        if predictions.get(node) == 1 and all_zero(neighbors(node))
     }
     outputs: Outputs = {node: 1 for node in independent}
     for node in independent:
-        for other in graph.neighbors(node):
-            outputs[other] = 0
+        outputs.update(dict.fromkeys(neighbors(node), 0))
     return outputs
 
 
@@ -157,8 +159,7 @@ def error_components(
     if problem_name == "edge-coloring":
         return [nodes for nodes, _ in edge_error_components(graph, predictions)]
     outputs = _BASE_PARTIALS[problem_name](graph, predictions)
-    active = [node for node in graph.nodes if node not in outputs]
-    return graph.subgraph(active).components()
+    return graph.induced_components(filterfalse(outputs.__contains__, graph.nodes))
 
 
 def edge_error_components(
@@ -204,4 +205,4 @@ def black_white_components(
     active = [node for node in graph.nodes if node not in outputs]
     black = [node for node in active if predictions.get(node) == 1]
     white = [node for node in active if predictions.get(node) != 1]
-    return graph.subgraph(black).components(), graph.subgraph(white).components()
+    return graph.induced_components(black), graph.induced_components(white)

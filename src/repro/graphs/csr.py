@@ -31,14 +31,19 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
+from itertools import accumulate, chain
+from operator import sub
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -81,8 +86,9 @@ def plain_reduce() -> Iterator[None]:
 class CSRTopology:
     """Immutable CSR view of an undirected graph.
 
-    Build via :meth:`from_adjacency` (validated, symmetric input expected);
-    consumers usually get one from :attr:`repro.graphs.graph.DistGraph.csr`.
+    Build via :meth:`from_rows` (trusted index rows) or
+    :meth:`from_adjacency` (a symmetric id map); consumers usually get one
+    from :attr:`repro.graphs.graph.DistGraph.csr`.
 
     Attributes:
         ids: Node identifiers in ascending order; ``ids[i]`` is the
@@ -123,6 +129,24 @@ class CSRTopology:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def from_rows(
+        cls, ids: Tuple[int, ...], rows: Sequence[Collection[int]]
+    ) -> "CSRTopology":
+        """Build from ascending ``ids`` and per-node neighbor-index rows.
+
+        The trusted constructor every other construction path ends in.
+        ``rows[i]`` holds the neighbor *indices* of ``ids[i]`` in any
+        order (a list, set, dict's keys or array row); the input must
+        already be symmetric and self-loop-free, which is not re-checked.
+        Each row's sorted copy is dropped as soon as the flat buffer has
+        taken it, so the temporaries never pile up for the cyclic
+        collector to scan.
+        """
+        indptr = array("q", accumulate(map(len, rows), initial=0))
+        indices = array("q", chain.from_iterable(map(sorted, rows)))
+        return cls(ids, indptr, indices)
+
+    @classmethod
     def from_adjacency(cls, adjacency: Mapping[int, Any]) -> "CSRTopology":
         """Build from a symmetric ``id -> iterable of neighbor ids`` map.
 
@@ -131,16 +155,11 @@ class CSRTopology:
         both); identifiers may be arbitrary positive ints.
         """
         ids = tuple(sorted(adjacency))
-        index_of = {node: index for index, node in enumerate(ids)}
-        indptr = array("q", bytes(8 * (len(ids) + 1)))
-        indices = array("q")
-        position = 0
-        for index, node in enumerate(ids):
-            row = sorted(index_of[other] for other in adjacency[node])
-            indices.extend(row)
-            position += len(row)
-            indptr[index + 1] = position
-        topology = cls(ids, indptr, indices)
+        index_of = dict(zip(ids, range(len(ids))))
+        to_index = index_of.__getitem__
+        topology = cls.from_rows(
+            ids, [list(map(to_index, adjacency[node])) for node in ids]
+        )
         topology._index_of = index_of
         return topology
 
@@ -152,9 +171,7 @@ class CSRTopology:
         """The ``identifier -> internal index`` table (built lazily)."""
         table = self._index_of
         if table is None:
-            table = self._index_of = {
-                node: index for index, node in enumerate(self.ids)
-            }
+            table = self._index_of = dict(zip(self.ids, range(self.n)))
         return table
 
     def index(self, node: int) -> int:
@@ -191,13 +208,12 @@ class CSRTopology:
 
     def neighbor_ids(self, node: int) -> Tuple[int, ...]:
         """Neighbor identifiers of ``node``, ascending."""
-        ids = self.ids
         index = self.index_of[node]
         return tuple(
-            ids[other]
-            for other in self.indices[
-                self.indptr[index] : self.indptr[index + 1]
-            ]
+            map(
+                self.ids.__getitem__,
+                self.indices[self.indptr[index] : self.indptr[index + 1]],
+            )
         )
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -220,9 +236,7 @@ class CSRTopology:
         """Maximum degree (0 for the empty graph), computed once."""
         if self._max_degree is None:
             indptr = self.indptr
-            self._max_degree = max(
-                (indptr[i + 1] - indptr[i] for i in range(self.n)), default=0
-            )
+            self._max_degree = max(map(sub, indptr[1:], indptr), default=0)
         return self._max_degree
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
@@ -250,7 +264,7 @@ class CSRTopology:
     def degrees(self) -> List[int]:
         """Degrees of every node in index (= ascending identifier) order."""
         indptr = self.indptr
-        return [indptr[i + 1] - indptr[i] for i in range(self.n)]
+        return list(map(sub, indptr[1:], indptr))
 
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """Connected components as tuples of internal *indices*.
@@ -262,28 +276,54 @@ class CSRTopology:
         attach the same shared topology share the cached answer).
         """
         if self._components is None:
-            indptr = self.indptr
-            indices = self.indices
-            seen = bytearray(self.n)
-            parts: List[Tuple[int, ...]] = []
-            for start in range(self.n):
-                if seen[start]:
-                    continue
-                seen[start] = 1
-                stack = [start]
-                members = [start]
-                while stack:
-                    index = stack.pop()
-                    for position in range(indptr[index], indptr[index + 1]):
-                        other = indices[position]
-                        if not seen[other]:
-                            seen[other] = 1
-                            members.append(other)
-                            stack.append(other)
-                members.sort()
-                parts.append(tuple(members))
-            self._components = tuple(parts)
+            self._components = tuple(
+                map(
+                    tuple,
+                    self._traverse(bytearray(b"\x01") * self.n, range(self.n)),
+                )
+            )
         return self._components
+
+    def induced_components(self, members: Iterable[int]) -> List[List[int]]:
+        """Components of the subgraph induced by the internal indices
+        ``members``, as ascending index lists ordered by smallest index.
+
+        The traversal walks this topology's rows restricted to a
+        membership mask, so it answers what building the induced
+        subgraph and asking for its components would, without building
+        it.  Not cached: every member set is a fresh question.
+        """
+        starts = sorted(members)
+        pending = bytearray(self.n)
+        for index in starts:
+            pending[index] = 1
+        return self._traverse(pending, starts)
+
+    def _traverse(
+        self, pending: bytearray, starts: Iterable[int]
+    ) -> List[List[int]]:
+        """Depth-first components over the nodes whose ``pending`` byte
+        is set, started from ``starts`` in ascending order (clearing the
+        bytes it visits)."""
+        indptr = self.indptr
+        indices = self.indices
+        parts: List[List[int]] = []
+        for start in starts:
+            if not pending[start]:
+                continue
+            pending[start] = 0
+            stack = [start]
+            members = [start]
+            while stack:
+                index = stack.pop()
+                for other in indices[indptr[index] : indptr[index + 1]]:
+                    if pending[other]:
+                        pending[other] = 0
+                        members.append(other)
+                        stack.append(other)
+            members.sort()
+            parts.append(members)
+        return parts
 
     # ------------------------------------------------------------------
     # Pickling (process-pool sweeps ship topologies to workers)

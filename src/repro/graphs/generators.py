@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 
 
@@ -233,19 +234,25 @@ def preorder_kary_tree(arity: int, height: int) -> DistGraph:
     sizes = [1] * (height + 1)
     for depth in range(height - 1, -1, -1):
         sizes[depth] = 1 + arity * sizes[depth + 1]
-    adjacency: Dict[int, List[int]] = {1: []}
-    stack = [(1, 0)]
+    # Rows in index space (id ``v`` has index ``v - 1``): a child's row
+    # gets its parent first and its own children later, so every row
+    # ascends and feeds the trusted constructor as is.
+    rows: List[List[int]] = [[] for _ in range(sizes[0])]
+    stack = [(0, 0)]
     while stack:
-        node, depth = stack.pop()
+        index, depth = stack.pop()
         if depth == height:
             continue
-        child = node + 1
         step = sizes[depth + 1]
-        for _ in range(arity):
-            adjacency[child] = [node]
+        children = range(index + 1, index + 1 + arity * step, step)
+        rows[index].extend(children)
+        for child in children:
+            rows[child].append(index)
             stack.append((child, depth + 1))
-            child += step
-    return DistGraph(adjacency, name=f"preorder-karytree-{arity}-h{height}")
+    csr = CSRTopology.from_rows(tuple(range(1, sizes[0] + 1)), rows)
+    return DistGraph._from_csr(
+        csr, None, None, f"preorder-karytree-{arity}-h{height}"
+    )
 
 
 def caterpillar(spine: int, legs_per_node: int) -> DistGraph:

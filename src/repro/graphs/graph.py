@@ -28,6 +28,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NoReturn,
     Optional,
     Tuple,
 )
@@ -57,17 +58,18 @@ class DistGraph:
         name: str = "",
     ) -> None:
         neighbor_sets: Dict[int, set] = {int(v): set() for v in adjacency}
+        known = neighbor_sets.keys()
         for node, neighbors in adjacency.items():
             node = int(node)
-            for other in neighbors:
-                other = int(other)
-                if other == node:
-                    raise ValueError(f"self-loop at node {node}")
-                if other not in neighbor_sets:
-                    raise ValueError(
-                        f"edge ({node}, {other}) references unknown node {other}"
-                    )
-                neighbor_sets[node].add(other)
+            listed = list(neighbors)
+            try:
+                others = set(map(int, listed))
+            except (TypeError, ValueError):
+                _raise_first_invalid(node, listed, known)
+            if node in others or not others <= known:
+                _raise_first_invalid(node, listed, known)
+            neighbor_sets[node] |= others
+            for other in others:
                 neighbor_sets[other].add(node)
 
         self._init_from_csr(
@@ -84,7 +86,8 @@ class DistGraph:
         """Shared tail of construction over an already-built topology."""
         self._csr = csr
         self.nodes: Tuple[int, ...] = csr.ids
-        if any(node < 1 for node in self.nodes):
+        # Identifiers ascend, so the first one is the smallest.
+        if self.nodes and self.nodes[0] < 1:
             raise ValueError("node identifiers must be positive integers")
         self.n = csr.n
         self.d = d if d is not None else (self.nodes[-1] if self.nodes else 0)
@@ -117,9 +120,11 @@ class DistGraph:
     ) -> "DistGraph":
         """Build a graph over an existing topology, skipping re-validation.
 
-        Used by derived-graph constructors whose structure is already a
-        validated topology (e.g. :meth:`with_attrs`, which shares the CSR
-        arrays of its source outright).
+        The trusted construction path: generators and derived-graph
+        constructors whose structure is valid by construction build the
+        topology with :meth:`CSRTopology.from_rows` and hand it over here
+        (e.g. :meth:`subgraph`, or :meth:`with_attrs`, which shares the
+        CSR arrays of its source outright).
         """
         graph = cls.__new__(cls)
         graph._init_from_csr(csr, d, attrs, name)
@@ -237,22 +242,24 @@ class DistGraph:
         parent view.
         """
         keep = set(nodes)
-        index_of = self._csr.index_of
+        csr = self._csr
+        index_of = csr.index_of
         unknown = keep - index_of.keys()
         if unknown:
             raise ValueError(f"unknown nodes in subgraph request: {sorted(unknown)}")
-        csr = self._csr
-        ids = csr.ids
-        adjacency = {
-            node: [
-                ids[other]
-                for other in csr.row(index_of[node])
-                if ids[other] in keep
-            ]
-            for node in keep
-        }
+        # Parent index -> subgraph index.  Parent rows ascend and the
+        # renumbering is monotone, so each filtered row stays sorted.
+        parent_indices = sorted(map(index_of.__getitem__, keep))
+        ids = tuple(map(csr.ids.__getitem__, parent_indices))
+        renumber = dict(zip(parent_indices, range(len(ids))))
+        rows = [
+            list(map(renumber.__getitem__, filter(renumber.__contains__, row)))
+            for row in map(csr.row, parent_indices)
+        ]
         attrs = {node: self._attrs[node] for node in keep if node in self._attrs}
-        return DistGraph(adjacency, d=self.d, attrs=attrs, name=name or self.name)
+        return DistGraph._from_csr(
+            CSRTopology.from_rows(ids, rows), self.d, attrs, name or self.name
+        )
 
     def components(self) -> List[FrozenSet[int]]:
         """Connected components, each as a frozenset, sorted by min id.
@@ -266,6 +273,21 @@ class DistGraph:
         return [
             frozenset(ids[index] for index in part)
             for part in self._csr.components()
+        ]
+
+    def induced_components(self, nodes: Iterable[int]) -> List[FrozenSet[int]]:
+        """Components of the subgraph induced by ``nodes``, as
+        :meth:`components` orders them.
+
+        Equal to ``self.subgraph(nodes).components()`` without building
+        the subgraph: the traversal walks this graph's CSR rows restricted
+        to the members.  Raises ``KeyError`` on an unknown identifier.
+        """
+        csr = self._csr
+        ids = csr.ids
+        return [
+            frozenset(map(ids.__getitem__, part))
+            for part in csr.induced_components(map(csr.index_of.__getitem__, nodes))
         ]
 
     def is_connected(self) -> bool:
@@ -342,3 +364,14 @@ class DistGraph:
         for node, mapping in attrs.items():
             merged.setdefault(int(node), {}).update(mapping)
         return DistGraph._from_csr(self._csr, self.d, merged, self.name)
+
+
+def _raise_first_invalid(node: int, listed: List[Any], known: Any) -> NoReturn:
+    """Raise for the first invalid entry of ``node``'s neighbor list, in
+    list order: a non-integer, a self-loop or an edge to an unknown node."""
+    for other in listed:
+        other = int(other)
+        if other == node:
+            raise ValueError(f"self-loop at node {node}")
+        if other not in known:
+            raise ValueError(f"edge ({node}, {other}) references unknown node {other}")

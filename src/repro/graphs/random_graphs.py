@@ -8,19 +8,33 @@ explicit seed so experiments are reproducible bit-for-bit.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import List
 
 import networkx as nx
 
+from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 
 
 def _from_nx_zero_based(nx_graph, name: str) -> DistGraph:
-    adjacency: Dict[int, List[int]] = {
-        int(node) + 1: [int(other) + 1 for other in nx_graph.neighbors(node)]
-        for node in nx_graph.nodes
-    }
-    return DistGraph(adjacency, name=name)
+    """Relabel an undirected networkx graph on ``0..n-1`` to ids
+    ``1..n`` and build it over its neighbor dicts directly.
+
+    The adjacency dicts are the rows (in index space already), so the
+    only checks left are the cheap ones a networkx ``Graph`` does not
+    guarantee by type: the labels are exactly ``0..n-1`` and no node
+    lists itself.
+    """
+    adjacency = nx_graph._adj
+    n = len(adjacency)
+    try:
+        rows = list(map(adjacency.__getitem__, range(n)))
+    except KeyError:
+        raise ValueError("networkx labels must be exactly 0..n-1") from None
+    if any(map(dict.__contains__, rows, range(n))):
+        raise ValueError("networkx graph has a self-loop")
+    csr = CSRTopology.from_rows(tuple(range(1, n + 1)), rows)
+    return DistGraph._from_csr(csr, None, None, name)
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> DistGraph:
@@ -68,14 +82,17 @@ def random_tree(n: int, seed: int = 0) -> DistGraph:
     degree = [1] * n
     for value in sequence:
         degree[value] += 1
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
+    # Rows in index space (node ``v`` has index ``v - 1``), both
+    # directions of every edge, so they feed the trusted constructor.
+    rows: List[List[int]] = [[] for _ in range(n)]
     import heapq
 
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for value in sequence:
         leaf = heapq.heappop(leaves)
-        adjacency[leaf + 1].append(value + 1)
+        rows[leaf].append(value)
+        rows[value].append(leaf)
         degree[value] -= 1
         if degree[value] == 1:
             heapq.heappush(leaves, value)
@@ -83,5 +100,7 @@ def random_tree(n: int, seed: int = 0) -> DistGraph:
     # remain in the heap; join them.
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
-    adjacency[u + 1].append(v + 1)
-    return DistGraph(adjacency, name=f"tree-{n}-s{seed}")
+    rows[u].append(v)
+    rows[v].append(u)
+    csr = CSRTopology.from_rows(tuple(range(1, n + 1)), rows)
+    return DistGraph._from_csr(csr, None, None, f"tree-{n}-s{seed}")

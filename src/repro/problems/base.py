@@ -11,6 +11,7 @@ problem sequentially (to manufacture perfect predictions).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import filterfalse
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.graphs.graph import DistGraph
@@ -81,7 +82,7 @@ class GraphProblem(ABC):
 
     def check_outputs_complete(self, graph: DistGraph, outputs: Outputs) -> List[str]:
         """Violations for outputs that do not cover every node."""
-        missing = [node for node in graph.nodes if node not in outputs]
+        missing = list(filterfalse(outputs.__contains__, graph.nodes))
         if missing:
             return [f"missing outputs for nodes {missing[:10]}"]
         return []

@@ -9,6 +9,8 @@ predicted 0 (not maximal).
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import not_
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.graphs.graph import DistGraph
@@ -31,25 +33,41 @@ class MaximalIndependentSetProblem(GraphProblem):
     def verify_partial(self, graph: DistGraph, outputs: Outputs) -> List[str]:
         """MIS conditions on the subgraph induced by the decided nodes.
 
-        The adjacency scans walk the CSR rows directly (ascending-id
-        streams), so both checks run over flat index arrays instead of
-        per-node set objects and report violations in deterministic order.
+        Both checks are set algebra over internal indices: ``covered``
+        collects every index adjacent to a 1-node in one pass over the
+        1-nodes' CSR rows, so independence is one ``isdisjoint`` and a
+        0-node lacks a decided 1-neighbor exactly when its index is not
+        covered.  No per-node neighbor frozenset is built, so a graph no
+        engine has walked (an edge-cut parent, say) costs no more to
+        verify than a warm one.  Only a violation walks rows, which
+        ascend, so messages keep a deterministic order.
         """
-        problems: List[str] = []
-        for node, value in outputs.items():
-            if value not in (0, 1):
-                problems.append(f"node {node} output {value!r}, expected 0 or 1")
-        chosen = {node for node, value in outputs.items() if value == 1}
+        problems: List[str] = [
+            f"node {node} output {value!r}, expected 0 or 1"
+            for node, value in outputs.items()
+            if value not in (0, 1)
+        ]
         csr = graph.csr
-        for node in sorted(chosen):
-            for other in csr.neighbor_ids(node):
-                if other > node and other in chosen:
-                    problems.append(f"adjacent nodes {node} and {other} both output 1")
-        for node, value in outputs.items():
-            if value == 0 and not any(
-                other in chosen for other in csr.neighbor_ids(node)
-            ):
-                problems.append(f"node {node} output 0 without a decided 1-neighbor")
+        index_of = csr.index_of
+        chosen = {node for node, value in outputs.items() if value == 1}
+        chosen_indices = set(map(index_of.__getitem__, chosen))
+        covered = set(chain.from_iterable(map(csr.row, chosen_indices)))
+        if not chosen_indices.isdisjoint(covered):
+            ids = csr.ids
+            for node in sorted(chosen):
+                problems.extend(
+                    f"adjacent nodes {node} and {ids[other]} both output 1"
+                    for other in csr.row(index_of[node])
+                    if other in chosen_indices and ids[other] > node
+                )
+        zeros = [node for node, value in outputs.items() if value == 0]
+        uncovered = map(
+            not_, map(covered.__contains__, map(index_of.__getitem__, zeros))
+        )
+        problems.extend(
+            f"node {node} output 0 without a decided 1-neighbor"
+            for node in compress(zeros, uncovered)
+        )
         return problems
 
     def extendability_violations(
@@ -81,9 +99,7 @@ class MaximalIndependentSetProblem(GraphProblem):
                         f"neighbor {other} of 1-node {node} is undecided"
                     )
         for node, value in sorted(outputs.items()):
-            if value == 0 and not any(
-                other in chosen for other in graph.neighbors(node)
-            ):
+            if value == 0 and chosen.isdisjoint(graph.neighbors(node)):
                 problems.append(f"0-node {node} has no decided 1-neighbor")
         return problems
 
@@ -95,7 +111,7 @@ class MaximalIndependentSetProblem(GraphProblem):
         order = list(order) if order is not None else list(graph.nodes)
         chosen: Set[int] = set()
         for node in order:
-            if not any(other in chosen for other in graph.neighbors(node)):
+            if chosen.isdisjoint(graph.neighbors(node)):
                 chosen.add(node)
         return {node: (1 if node in chosen else 0) for node in graph.nodes}
 

@@ -28,10 +28,14 @@ Bit-identity with the unsharded run rests on the invariants documented in
 inbox merges, deferred globally-ordered strict-CONGEST violations) plus
 two driver-side rules:
 
-* **Global event order** — terminations are never published shard-locally;
-  every shard exports them and the coordinator broadcasts one globally
-  sorted list per round, reproducing the unsharded per-round
-  ``neighbor_outputs`` insertion order.
+* **Global event order** — a shard defers publishing its terminations
+  to the round barrier.  It exports only those of its *boundary* nodes
+  (owned nodes with a neighbor on another shard); the coordinator sorts
+  them and routes each to the other shards owning a neighbor, and every
+  shard merges the inbound events with its own terminations by the
+  unsharded publication key before publishing, reproducing the
+  unsharded per-round ``neighbor_outputs`` insertion order.  Cut
+  traffic stays proportional to the cut, not to ``n``.
 * **Global continuation** — the run continues while the *sum* of shard
   active counts is positive, and the violation / deadline /
   ``on_round_limit`` decisions are taken once, centrally, with the same
@@ -155,12 +159,12 @@ class EdgecutPlan:
 
         ``submissions`` maps shard -> ``(events, active_count, preview,
         violations)`` as drained at the barrier after ``round_index``
-        rounds have executed.  Returns per-shard ``(events, command,
-        extra)`` replies; the events list is globally sorted
-        (terminations before crashes, each ascending by node, matching
-        the unsharded publication order) and routed only to shards
-        owning at least one neighbor of the event node.  Decision
-        precedence mirrors :meth:`SyncEngine.run`: a strict violation
+        rounds have executed; a shard submits only its boundary nodes'
+        events.  Returns per-shard ``(events, command, extra)`` replies;
+        the events list is globally sorted (:func:`_event_key`) and
+        routed only to the *other* shards owning at least one neighbor
+        of the event node (the exporting shard publishes its own).
+        Decision precedence mirrors :meth:`SyncEngine.run`: a strict violation
         aborts first (it would have raised mid-round unsharded), then
         global quiescence stops the run, then the wall-clock deadline,
         then the round budget.  The deadline clock starts at the round-0
@@ -181,7 +185,7 @@ class EdgecutPlan:
             violations.extend(shard_violations)
             total_active += active
             preview.extend(shard_preview)
-        events.sort(key=lambda event: (event[0] != "terminate", event[1]))
+        events.sort(key=_event_key)
 
         command = "continue"
         extra: Any = None
@@ -206,7 +210,8 @@ class EdgecutPlan:
             shard: [] for shard in range(self.shard_count)
         }
         for event in events:
-            for shard in {owner(v) for v in neighbors(event[1])}:
+            source = owner(event[1])
+            for shard in {owner(v) for v in neighbors(event[1])} - {source}:
                 routed[shard].append(event)
         return {
             shard: (routed[shard], command, extra)
@@ -345,20 +350,27 @@ def _build_shard_engine(
     )
 
 
-def _apply_remote_events(engine: SyncEngine, events: Sequence[tuple]) -> None:
-    """Apply one round's globally ordered termination/crash events.
+def _event_key(event: tuple) -> Tuple[bool, int]:
+    """The unsharded publication order: terminations before crashes,
+    each ascending by node."""
+    return event[0] != "terminate", event[1]
+
+
+def _publish_events(engine: SyncEngine, events: Sequence[tuple]) -> None:
+    """Publish one round's termination/crash events, in ``_event_key``
+    order, to the neighbors this shard owns.
 
     The mirror of the publication loop in
     :meth:`~repro.simulator.lifecycle.NodeLifecycle.finalize_round`,
-    restricted to the neighbors this shard owns.
+    restricted to owned neighbors; an event with none is skipped.
     """
-    if not events:
-        return
     contexts = engine.contexts
     scheduler = engine._scheduler
     neighbors_of = engine.graph.neighbors
     for kind, node, output in events:
         owned = [v for v in neighbors_of(node) if v in contexts]
+        if not owned:
+            continue
         if kind == "terminate":
             for neighbor in owned:
                 ctx = contexts[neighbor]
@@ -378,26 +390,31 @@ def _run_rounds(engine: SyncEngine, link: _Link) -> None:
 
     The loop shape matches :meth:`SyncEngine.run` with the control
     checks hoisted to the coordinator: setup, then — per round — an
-    event barrier (apply the previous round's global events, learn
-    whether to continue) and, inside ``run_round``, the message barrier.
+    event barrier (export the boundary events, publish the local ones
+    merged with the inbound ones, learn whether to continue) and, inside
+    ``run_round``, the message barrier.
     """
     transport = engine.transport
     scheduler = engine._scheduler
     result = engine.result
+    boundary = engine.graph.boundary_nodes()
     engine._setup_phase()
     round_index = 0
     while True:
-        events, command, _extra = link.exchange_events(
+        local = transport.take_events()
+        inbound, command, _extra = link.exchange_events(
             transport.shard,
             round_index,
             (
-                transport.take_events(),
+                [event for event in local if event[1] in boundary],
                 len(engine._active),
                 engine._active_order[:10],
                 transport.take_violations(),
             ),
         )
-        _apply_remote_events(engine, events)
+        if inbound:
+            local = sorted(local + inbound, key=_event_key)
+        _publish_events(engine, local)
         if command != "continue":
             break
         round_index += 1

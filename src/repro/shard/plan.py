@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence
 
 from repro.core.runner import run
 from repro.graphs.graph import DistGraph
@@ -172,6 +172,30 @@ class EdgecutView:
 
     def node_attrs(self, node: int):
         return self.parent.node_attrs(node)
+
+    def boundary_nodes(self) -> FrozenSet[int]:
+        """Owned nodes with at least one neighbor on another shard.
+
+        The owned block is one contiguous index range and CSR rows
+        ascend, so a row leaves the block exactly when its first index
+        lies below it or its last index at or past its end — two reads
+        per owned node, no neighbor walk.
+        """
+        csr = self.parent.csr
+        bounds = edgecut_bounds(csr.n, self.shard_count)
+        low, high = bounds[self.shard], bounds[self.shard + 1]
+        indptr = csr.indptr
+        indices = csr.indices
+        ids = csr.ids
+        return frozenset(
+            ids[index]
+            for index in range(low, high)
+            if indptr[index] < indptr[index + 1]
+            and (
+                indices[indptr[index]] < low
+                or indices[indptr[index + 1] - 1] >= high
+            )
+        )
 
 
 def execute_shard(

@@ -104,11 +104,11 @@ class NodeLifecycle:
         transport = rt.transport
         if transport.remote:
             # Edge-cut shard: publication is deferred to the round barrier,
-            # where the driver applies every shard's events in one global
-            # ascending order — the same per-round ``neighbor_outputs``
-            # insertion order an unsharded run produces (some neighbors
-            # live on other shards, so no context exists for them here;
-            # see :mod:`repro.shard.edgecut`).
+            # where the driver merges these events with the inbound ones
+            # of other shards' boundary nodes and publishes them in one
+            # global ascending order — the same per-round
+            # ``neighbor_outputs`` insertion order an unsharded run
+            # produces (see :mod:`repro.shard.edgecut`).
             for node in terminated:
                 transport.export_event("terminate", node, contexts[node].output)
             for node in crashed:

@@ -261,7 +261,8 @@ class BoundaryTransport(Transport):
         #: Cut messages composed this round: ``(sender, seq, receiver,
         #: payload)`` in compose order.
         self.outbound: List[Tuple[int, int, int, Any]] = []
-        #: Termination/crash announcements owed to remote neighbors.
+        #: This round's termination/crash events, published at the
+        #: barrier (the boundary nodes' ones also go to other shards).
         self.events: List[Tuple[str, int, Any]] = []
         #: Deferred strict-CONGEST violations: ``(sender, seq, receiver,
         #: bits)``; adjudicated globally by the driver.
@@ -285,7 +286,7 @@ class BoundaryTransport(Transport):
         self.events.append((kind, node, output))
 
     def take_events(self) -> List[Tuple[str, int, Any]]:
-        """Drain the pending boundary events (driver, at the barrier)."""
+        """Drain the round's pending events (driver, at the barrier)."""
         events, self.events = self.events, []
         return events
 

@@ -40,6 +40,7 @@ from repro.kernels import UnsupportedScheduleError
 from repro.predictions import perfect_predictions
 from repro.problems import PROBLEMS
 from repro.shard import EdgecutView, edgecut_bounds, run_edgecut
+from repro.shard.edgecut import EdgecutPlan
 from repro.shard import store as store_module
 from repro.simulator.engine import RoundLimitExceeded
 from repro.simulator.models import strict_congest
@@ -113,6 +114,47 @@ class TestEdgecutPlan:
         for shard in range(shards):
             seen.extend(EdgecutView(graph, shard, shards).nodes)
         assert sorted(seen) == sorted(graph.nodes)
+
+
+    def test_boundary_nodes_are_the_owned_cut_endpoints(self):
+        for seed, shards in ((3, 2), (4, 3), (5, 5)):
+            graph = _fuzz_graph(seed)
+            for shard in range(shards):
+                view = EdgecutView(graph, shard, shards)
+                owned = set(view.nodes)
+                assert view.boundary_nodes() == {
+                    node
+                    for node in owned
+                    if any(other not in owned for other in graph.neighbors(node))
+                }
+
+
+class TestBoundaryEvents:
+    """Only cut-node lifecycle events cross the coordinator."""
+
+    def test_events_reaching_decide_track_the_cut_not_n(self, monkeypatch):
+        submitted = []
+        decide = EdgecutPlan.decide
+
+        def counting_decide(plan, round_index, submissions):
+            submitted.extend(
+                event for events, *_ in submissions.values() for event in events
+            )
+            return decide(plan, round_index, submissions)
+
+        monkeypatch.setattr(EdgecutPlan, "decide", counting_decide)
+        graph = preorder_kary_tree(10, 5)  # ptree:10:5, n = 111 111
+        result = run_edgecut(
+            greedy_mis_reference(), graph,
+            config=RunConfig(seed=1, fast=True), shard_count=2,
+        )
+        assert len(result.outputs) == graph.n
+        boundary = set()
+        for shard in range(2):
+            boundary |= EdgecutView(graph, shard, 2).boundary_nodes()
+        # Every boundary node terminates once; nothing else is exported.
+        assert sorted(event[1] for event in submitted) == sorted(boundary)
+        assert len(submitted) <= 2 * 10 * 5
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Repository hygiene: packaging, exports, docstrings, documentation."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +35,38 @@ class TestPackaging:
             line for line in text.splitlines() if line.startswith('version = "')
         ]
         assert static == [], static
+
+    def test_cold_import_and_graph_layer_do_not_load_numpy(self):
+        """``import repro`` and the graph, verification and error layers
+        stay numpy-free: importing numpy costs every CLI call and every
+        benchmark set-up about 0.1-0.2 s of CPU."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "assert 'numpy' not in sys.modules, 'import repro loaded numpy'\n"
+            "from repro import MIS, errors, graphs\n"
+            "from repro.dynamic import SyntheticChurnStream, apply_batch\n"
+            "from repro.predictions import noisy_predictions\n"
+            "g = graphs.random_regular(60, 4, seed=1)\n"
+            "graphs.connected_erdos_renyi(60, 0.05, seed=1)\n"
+            "graphs.preorder_kary_tree(3, 3).subgraph(range(1, 20))\n"
+            "graphs.random_tree(40, seed=1)\n"
+            "p = noisy_predictions(MIS, g, 0.2, seed=1)\n"
+            "MIS.is_solution(g, MIS.solve_sequential(g))\n"
+            "errors.eta1(g, p, 'mis')\n"
+            "stream = SyntheticChurnStream(g, 2, add=3, remove=3, seed=1)\n"
+            "for batch in stream.batches():\n"
+            "    g = apply_batch(g, batch)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
