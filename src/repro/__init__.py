@@ -87,12 +87,12 @@ def schedules():
     """Capability map of every ``schedule=`` name, for introspection.
 
     Returns ``{name: {"quiescence": bool, "async": bool, "profile": bool,
-    "kernels": tuple}}`` — one entry per registered
-    :class:`~repro.simulator.scheduling.Scheduler`.  ``kernels`` lists
-    the compiled whole-frontier kernels a schedule can execute
-    (non-empty only for ``"vectorized"``).  The CLI's ``--schedule`` choices and
-    :class:`ExecutionPolicy` validation are derived from the same
-    registry, so this is the authoritative list::
+    "kernels": tuple}}`` — one entry per schedule row of the capability
+    table (:mod:`repro.simulator.capability`).  ``kernels`` lists the
+    compiled whole-frontier kernels a schedule can execute (non-empty
+    only for ``"vectorized"``).  The CLI's ``--schedule`` choices and
+    :class:`ExecutionPolicy` validation read the same table, so this is
+    the authoritative list::
 
         >>> sorted(repro.schedules())
         ['async', 'eager', 'quiescent', 'quiescent-debug', 'vectorized']

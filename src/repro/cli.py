@@ -52,7 +52,12 @@ from repro.algorithms.mis import GreedyMISAlgorithm
 from repro.core import ExecutionPolicy, run
 from repro.errors import eta1
 from repro.kernels import UnsupportedScheduleError
-from repro.simulator import schedule_capabilities
+from repro.simulator.capability import (
+    SCHEDULES,
+    SHARD_MODES,
+    CapabilityError,
+    schedule_capabilities,
+)
 from repro.graphs import (
     DistGraph,
     clique,
@@ -120,10 +125,29 @@ EXAMPLES = {
 }
 
 
+#: Graph family -> builder from the spec's arguments (``arg(i, default,
+#: cast)`` reads argument ``i``).
+GRAPH_FAMILIES: Dict[str, Callable] = {
+    "line": lambda arg: line(arg(0)),
+    "ring": lambda arg: ring(arg(0)),
+    "star": lambda arg: star(arg(0)),
+    "clique": lambda arg: clique(arg(0)),
+    "grid": lambda arg: grid2d(arg(0), arg(1)),
+    "gnp": lambda arg: erdos_renyi(arg(0), arg(1, cast=float), seed=arg(2, 0)),
+    "regular": lambda arg: random_regular(arg(0), arg(1), seed=arg(2, 0)),
+    "tree": lambda arg: random_tree(arg(0), seed=arg(1, 0)),
+    "rtree": lambda arg: random_rooted_tree(arg(0), seed=arg(1, 0)),
+    "dline": lambda arg: directed_line(arg(0)),
+    "wheel": lambda arg: wheel_fk(arg(0)),
+    "paths": lambda arg: path_forest(arg(0), arg(1)),
+    "sortedline": lambda arg: sorted_path_ids(line(arg(0))),
+    "ptree": lambda arg: preorder_kary_tree(arg(0), arg(1)),
+}
+
+
 def parse_graph(spec: str) -> DistGraph:
     """Parse a ``family:args`` graph spec (see module docstring)."""
-    parts = spec.split(":")
-    family, args = parts[0], [p for p in parts[1:]]
+    family, *args = spec.split(":")
 
     def arg(index: int, default=None, cast=int):
         if index < len(args):
@@ -132,35 +156,9 @@ def parse_graph(spec: str) -> DistGraph:
             raise SystemExit(f"graph spec {spec!r}: missing argument {index + 1}")
         return default
 
-    if family == "line":
-        return line(arg(0))
-    if family == "sortedline":
-        return sorted_path_ids(line(arg(0)))
-    if family == "ring":
-        return ring(arg(0))
-    if family == "star":
-        return star(arg(0))
-    if family == "clique":
-        return clique(arg(0))
-    if family == "grid":
-        return grid2d(arg(0), arg(1))
-    if family == "gnp":
-        return erdos_renyi(arg(0), arg(1, cast=float), seed=arg(2, default=0))
-    if family == "regular":
-        return random_regular(arg(0), arg(1), seed=arg(2, default=0))
-    if family == "tree":
-        return random_tree(arg(0), seed=arg(1, default=0))
-    if family == "rtree":
-        return random_rooted_tree(arg(0), seed=arg(1, default=0))
-    if family == "dline":
-        return directed_line(arg(0))
-    if family == "wheel":
-        return wheel_fk(arg(0))
-    if family == "paths":
-        return path_forest(arg(0), arg(1))
-    if family == "ptree":
-        return preorder_kary_tree(arg(0), arg(1))
-    raise SystemExit(f"unknown graph family {family!r}")
+    if family not in GRAPH_FAMILIES:
+        raise SystemExit(f"unknown graph family {family!r}")
+    return GRAPH_FAMILIES[family](arg)
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -168,8 +166,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     for problem, templates in TEMPLATES.items():
         print(f"  {problem}: {', '.join(sorted(templates))}")
     print()
-    print("graph families: line ring star clique grid gnp regular tree")
-    print("                rtree dline wheel paths sortedline ptree")
+    print(f"graph families: {' '.join(GRAPH_FAMILIES)}")
     print()
     print("schedules:")
     for name, caps in sorted(schedule_capabilities().items()):
@@ -180,7 +177,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build(args: argparse.Namespace):
+def _lookup(args: argparse.Namespace):
+    """The ``--problem`` and the factory ``--template`` names for it."""
     problem = PROBLEMS.get(args.problem)
     if problem is None:
         raise SystemExit(f"unknown problem {args.problem!r}")
@@ -190,53 +188,47 @@ def _build(args: argparse.Namespace):
             f"unknown template {args.template!r} for {args.problem} "
             f"(choose from {sorted(TEMPLATES[args.problem])})"
         )
+    return problem, factory
+
+
+def _build(args: argparse.Namespace):
+    problem, factory = _lookup(args)
     return problem, factory(), parse_graph(args.graph)
 
 
 def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
     """The :class:`ExecutionPolicy` described by the shared CLI flags."""
-    try:
-        return ExecutionPolicy(
-            schedule=args.schedule,
-            phi=args.phi,
-            send_timeout=args.send_timeout,
-            deadline_s=args.deadline_s,
-            fallback=getattr(args, "fallback", None),
-            share_graph=getattr(args, "share_graph", False),
-            shard=getattr(args, "shard", None),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    return ExecutionPolicy(
+        schedule=args.schedule,
+        phi=args.phi,
+        send_timeout=args.send_timeout,
+        deadline_s=args.deadline_s,
+        fallback=getattr(args, "fallback", None),
+        share_graph=getattr(args, "share_graph", False),
+        shard=getattr(args, "shard", None),
+    )
 
 
-def _require_profiling(schedule: str) -> None:
-    """Refuse, before any run, to profile a schedule that cannot be timed."""
-    capabilities = schedule_capabilities()
-    if not capabilities[schedule]["profile"]:
-        supported = ", ".join(
-            name for name, caps in sorted(capabilities.items()) if caps["profile"]
-        )
-        raise SystemExit(
-            f"profiling is not supported with --schedule {schedule} "
-            f"(profiled schedules: {supported})"
-        )
+def _run_once(args: argparse.Namespace, **extra):
+    """Build the instance the shared flags describe and run it once;
+    returns ``(problem, algorithm, graph, predictions, result)``."""
+    problem, algorithm, graph = _build(args)
+    predictions = _predictions_for_args(problem, graph, args.seed, args)
+    result = run(
+        algorithm,
+        graph,
+        predictions,
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+        policy=_policy_from_args(args),
+        on_round_limit="partial" if args.schedule == "async" else "raise",
+        **extra,
+    )
+    return problem, algorithm, graph, predictions, result
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    problem, algorithm, graph = _build(args)
-    predictions = _predictions_for_args(problem, graph, args)
-    try:
-        result = run(
-            algorithm,
-            graph,
-            predictions,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            policy=_policy_from_args(args),
-            on_round_limit="partial" if args.schedule == "async" else "raise",
-        )
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    problem, algorithm, graph, predictions, result = _run_once(args)
     violations = problem.verify_solution(graph, result.outputs)
     error = eta1(graph, predictions, problem.name)
     print(f"instance   : {graph.name} (n={graph.n}, m={graph.num_edges})")
@@ -263,33 +255,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predictions_for_args(problem, graph, args: argparse.Namespace):
+def _predictions_for_args(problem, graph, seed: int, args: argparse.Namespace):
     """Perfect predictions, optionally perturbed by ``--noise``."""
-    base = perfect_predictions(problem, graph, seed=args.seed)
+    base = perfect_predictions(problem, graph, seed=seed)
     if args.noise > 0:
-        return noisy_predictions(
-            problem, graph, args.noise, seed=args.seed, base=base
-        )
+        return noisy_predictions(problem, graph, args.noise, seed=seed, base=base)
     return base
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one instance with round profiling and print the phase table."""
-    _require_profiling(args.schedule)
-    problem, algorithm, graph = _build(args)
-    predictions = _predictions_for_args(problem, graph, args)
-    try:
-        result = run(
-            algorithm,
-            graph,
-            predictions,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            profile=True,
-            policy=_policy_from_args(args),
-        )
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    problem, algorithm, graph, _, result = _run_once(args, profile=True)
     violations = problem.verify_solution(graph, result.outputs)
     print(f"instance   : {graph.name} (n={graph.n}, m={graph.num_edges})")
     print(f"algorithm  : {algorithm.name}")
@@ -317,22 +293,8 @@ def cmd_events(args: argparse.Namespace) -> int:
     from repro.obs import MemoryEventSink
     from repro.obs.events import write_jsonl_events
 
-    problem, algorithm, graph = _build(args)
-    predictions = _predictions_for_args(problem, graph, args)
     sink = MemoryEventSink()
-    try:
-        result = run(
-            algorithm,
-            graph,
-            predictions,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            sinks=[sink],
-            policy=_policy_from_args(args),
-            on_round_limit="partial" if args.schedule == "async" else "raise",
-        )
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    result = _run_once(args, sinks=[sink])[-1]
     entries = sink.entries
     if args.kinds:
         wanted = set(args.kinds.split(","))
@@ -360,17 +322,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core import RunConfig
     from repro.exec import FaultSpec, GraphSpec, PredictionSpec, Sweep
 
-    if args.profile:
-        _require_profiling(args.schedule)
-    problem = PROBLEMS.get(args.problem)
-    if problem is None:
-        raise SystemExit(f"unknown problem {args.problem!r}")
-    factory = TEMPLATES[args.problem].get(args.template)
-    if factory is None:
-        raise SystemExit(
-            f"unknown template {args.template!r} for {args.problem} "
-            f"(choose from {sorted(TEMPLATES[args.problem])})"
-        )
+    problem, factory = _lookup(args)
     rates = [float(r) for r in args.rates.split(",")]
 
     # The graph comes from a parsed string spec, so it enters the sweep
@@ -466,25 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         result.to_csv(args.csv)
         print(f"wrote {args.csv}")
-    status = 0 if result.all_valid else 1
-    if args.bench_out:
-        from repro.obs.bench import record_run
-
-        payload, diff = record_run(
-            args.bench_out, result, gate=args.bench_gate
-        )
-        telemetry = payload["telemetry"]
-        print(
-            f"\nbench baseline {args.bench_out}: "
-            f"{telemetry['node_rounds_per_sec']:.0f} node-rounds/s"
-        )
-        if diff is None:
-            print("no previous baseline; recorded this run as the baseline")
-        else:
-            print(diff.summary())
-            if not diff.ok:
-                status = 1
-    return status
+    return _record_bench(args, result)
 
 
 def cmd_dynamic(args: argparse.Namespace) -> int:
@@ -492,15 +426,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
     from repro.core import RunConfig
     from repro.dynamic import DynamicRunner, SyntheticChurnStream, temporal_stream
 
-    problem = PROBLEMS.get(args.problem)
-    if problem is None:
-        raise SystemExit(f"unknown problem {args.problem!r}")
-    factory = TEMPLATES[args.problem].get(args.template)
-    if factory is None:
-        raise SystemExit(
-            f"unknown template {args.template!r} for {args.problem} "
-            f"(choose from {sorted(TEMPLATES[args.problem])})"
-        )
+    problem, factory = _lookup(args)
     if args.dataset:
         stream = temporal_stream(
             args.dataset,
@@ -532,10 +458,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
         scratch=not args.no_scratch,
         seed=args.seed,
     )
-    try:
-        result = runner.run()
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    result = runner.run()
     print(f"stream     : {stream.name} (epochs={stream.epochs})")
     print(f"algorithm  : {args.problem}/{args.template}")
     print()
@@ -554,27 +477,32 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
             f"{row.rounds:>6}  {scratch:>7}  {recourse:>8}  "
             f"{str(bool(row.valid)):>5}"
         )
-    status = 0 if result.all_valid else 1
     if args.csv:
         result.to_csv(args.csv)
         print(f"wrote {args.csv}")
-    if args.bench_out:
-        from repro.obs.bench import record_run
+    return _record_bench(args, result, "recourse_total")
 
-        payload, diff = record_run(args.bench_out, result, gate=args.bench_gate)
-        telemetry = payload["telemetry"]
-        print(
-            f"\nbench baseline {args.bench_out}: "
-            f"{telemetry['node_rounds_per_sec']:.0f} node-rounds/s, "
-            f"recourse_total={telemetry['recourse_total']}"
-        )
-        if diff is None:
-            print("no previous baseline; recorded this run as the baseline")
-        else:
-            print(diff.summary())
-            if not diff.ok:
-                status = 1
-    return status
+
+def _record_bench(args: argparse.Namespace, result, *extra: str) -> int:
+    """Exit status of a sweep or dynamic run: 1 when a cell is invalid or
+    the ``--bench-out`` diff against the previous baseline fails."""
+    status = 0 if result.all_valid else 1
+    if not args.bench_out:
+        return status
+    from repro.obs.bench import record_run
+
+    payload, diff = record_run(args.bench_out, result, gate=args.bench_gate)
+    telemetry = payload["telemetry"]
+    print(
+        f"\nbench baseline {args.bench_out}: "
+        f"{telemetry['node_rounds_per_sec']:.0f} node-rounds/s"
+        + "".join(f", {key}={telemetry[key]}" for key in extra)
+    )
+    if diff is None:
+        print("no previous baseline; recorded this run as the baseline")
+    else:
+        print(diff.summary())
+    return 1 if diff is not None and not diff.ok else status
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -586,19 +514,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
     seeds = list(range(args.seeds))
     recover_after = args.recover_after if args.recover_after > 0 else None
 
-    def predictions_for(seed: int):
-        base = perfect_predictions(problem, graph, seed=seed)
-        if args.noise > 0:
-            return noisy_predictions(
-                problem, graph, args.noise, seed=seed, base=base
-            )
-        return base
-
     points = degradation_sweep(
         algorithm,
         problem,
         graph,
-        predictions_for,
+        lambda seed: _predictions_for_args(problem, graph, seed, args),
         drop_rates=rates,
         seeds=seeds,
         crash_fraction=args.crash_frac,
@@ -762,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-rounds", type=int, default=None)
         sub.add_argument(
             "--schedule",
-            choices=tuple(sorted(schedule_capabilities())),
+            choices=tuple(sorted(SCHEDULES)),
             default="eager",
             help="round scheduling policy (quiescent skips idle nodes; "
             "observationally identical to eager; async adds adversarial "
@@ -807,7 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rates", default="0,0.1,0.3,0.6,1.0", help="comma-separated rates"
     )
     sweep_parser.add_argument("--repeats", type=int, default=2)
-    sweep_parser.add_argument("--csv", default=None, help="write CSV here")
     sweep_parser.add_argument(
         "--backend", choices=("process", "serial"), default="process",
         help="execution backend (process pool or in-process serial)",
@@ -831,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of flat buffers per chunk",
     )
     sweep_parser.add_argument(
-        "--shard", choices=("components", "edgecut"), default=None,
+        "--shard", choices=tuple(SHARD_MODES), default=None,
         help="split each cell's graph across workers and merge the shard "
         "results into one bit-identical row: 'components' farms out "
         "connected components independently; 'edgecut' block-partitions "
@@ -853,15 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--events-out", default=None,
         help="write every cell's structured events to this JSONL file",
-    )
-    sweep_parser.add_argument(
-        "--bench-out", default=None,
-        help="record a BENCH baseline JSON here and diff against the "
-        "previous one (exits nonzero on regression)",
-    )
-    sweep_parser.add_argument(
-        "--bench-gate", type=float, default=2.0,
-        help="throughput regression gate for --bench-out (default 2.0x)",
     )
 
     dynamic_parser.add_argument(
@@ -906,16 +816,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-scratch", action="store_true",
         help="skip the per-epoch solve-from-scratch comparison runs",
     )
-    dynamic_parser.add_argument("--csv", default=None, help="write CSV here")
-    dynamic_parser.add_argument(
-        "--bench-out", default=None,
-        help="record a BENCH baseline JSON here and diff against the "
-        "previous one (exits nonzero on regression)",
-    )
-    dynamic_parser.add_argument(
-        "--bench-gate", type=float, default=2.0,
-        help="throughput regression gate for --bench-out (default 2.0x)",
-    )
+    for sub in (sweep_parser, dynamic_parser):
+        sub.add_argument("--csv", default=None, help="write CSV here")
+        sub.add_argument(
+            "--bench-out", default=None,
+            help="record a BENCH baseline JSON here and diff against the "
+            "previous one (exits nonzero on regression)",
+        )
+        sub.add_argument(
+            "--bench-gate", type=float, default=2.0,
+            help="throughput regression gate for --bench-out (default 2.0x)",
+        )
 
     faults_parser = subparsers.add_parser(
         "faults", help="degradation sweep under fault injection"
@@ -990,8 +901,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusal(exc: Exception, args: argparse.Namespace) -> str:
+    """The one-line exit for a combination the capability table refuses."""
+    if isinstance(exc, UnsupportedScheduleError):
+        return f"{exc} (pass --fallback interpret to run anyway)"
+    if exc.axis == "profile":
+        profiled = ", ".join(
+            name for name, row in sorted(SCHEDULES.items()) if row["profile"]
+        )
+        return (
+            f"profiling is not supported with --schedule {args.schedule} "
+            f"(profiled schedules: {profiled})"
+        )
+    return str(exc)
+
+
 def main(argv=None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A combination the capability table refuses ends the command with a
+    one-line message instead of a traceback, wherever it is refused.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "list": cmd_list,
@@ -1005,7 +935,10 @@ def main(argv=None) -> int:
         "example": cmd_example,
         "reproduce": cmd_reproduce,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (CapabilityError, UnsupportedScheduleError) as exc:
+        raise SystemExit(_refusal(exc, args))
 
 
 if __name__ == "__main__":

@@ -23,15 +23,15 @@ documents the policy surface).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.core.algorithm import DistributedAlgorithm
 from repro.graphs.graph import DistGraph
+from repro.simulator.capability import check_policy, decide
 from repro.simulator.collector import paused_collector
-from repro.simulator.engine import SyncEngine
+from repro.simulator.engine import SyncEngine, default_round_budget
 from repro.simulator.metrics import RunResult
 from repro.simulator.models import ExecutionModel
-from repro.simulator.scheduling import SCHEDULERS
 from repro.simulator.trace import TraceRecorder
 
 #: Sentinel distinguishing "not passed" from an explicit ``None``/value.
@@ -91,9 +91,12 @@ class ExecutionPolicy:
             (possibly connected) graph and runs one engine per block,
             exchanging boundary messages at a per-round barrier
             (see :mod:`repro.shard.edgecut`) — also bit-identical.
-            ``None`` (default) runs unsharded.  Incompatible with
-            ``schedule="async"``: the delay adversary draws from
-            tick-global streams, so isolation does not hold.
+            ``None`` (default) runs unsharded.  A sweep-level request:
+            :func:`run` executes one engine whatever it says.
+
+    Construction checks the knobs against the capability table
+    (:mod:`repro.simulator.capability`), raising its ``CapabilityError``
+    (a ``ValueError``).
     """
 
     schedule: str = "eager"
@@ -106,42 +109,10 @@ class ExecutionPolicy:
     shard: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.schedule not in SCHEDULERS:
-            known = ", ".join(repr(name) for name in SCHEDULERS)
-            raise ValueError(
-                f"schedule must be one of {known}, got {self.schedule!r}"
-            )
-        if self.phi < 0:
-            raise ValueError(f"phi must be non-negative, got {self.phi}")
-        if (self.phi or self.send_timeout is not None) and self.schedule != "async":
-            raise ValueError(
-                "phi= and send_timeout= belong to the asynchronous model; "
-                f"pass schedule='async' (got schedule={self.schedule!r})"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
-        if self.fallback not in (None, "interpret"):
-            raise ValueError(
-                f"fallback must be None or 'interpret', got {self.fallback!r}"
-            )
-        if self.fallback is not None and self.schedule != "vectorized":
-            raise ValueError(
-                "fallback= only applies to schedule='vectorized' "
-                f"(got schedule={self.schedule!r})"
-            )
-        if self.shard not in (None, "components", "edgecut"):
-            raise ValueError(
-                "shard must be None, 'components' or 'edgecut', "
-                f"got {self.shard!r}"
-            )
-        if self.shard is not None and self.schedule == "async":
-            raise ValueError(
-                f"shard={self.shard!r} cannot run under schedule='async': "
-                "the asynchronous delay adversary draws from tick-global "
-                "streams, so sharded and unsharded runs would diverge"
-            )
+        check_policy(
+            self.schedule, phi=self.phi, send_timeout=self.send_timeout,
+            deadline_s=self.deadline_s, fallback=self.fallback, shard=self.shard,
+        )
 
 
 @dataclass(frozen=True)
@@ -186,11 +157,7 @@ class RunConfig:
     policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
-        if self.on_round_limit not in ("raise", "partial"):
-            raise ValueError(
-                "on_round_limit must be 'raise' or 'partial', "
-                f"got {self.on_round_limit!r}"
-            )
+        check_policy(self.schedule, on_round_limit=self.on_round_limit)
 
     # -- policy field pass-throughs (the documented read surface) -------
     @property
@@ -276,10 +243,6 @@ def run(
         The :class:`RunResult`; when tracing was requested its ``trace``
         attribute holds the :class:`TraceRecorder`.
     """
-    if algorithm.uses_predictions and predictions is None:
-        raise ValueError(
-            f"{algorithm.name or type(algorithm).__name__} requires predictions"
-        )
     config = (config or RunConfig()).with_overrides(
         model=model,
         max_rounds=max_rounds,
@@ -291,17 +254,63 @@ def run(
         profile=profile,
         policy=_UNSET if policy is None else policy,
     )
+    return run_engine(algorithm, graph, predictions, config, sinks=sinks)
+
+
+def resolve_run(
+    algorithm: DistributedAlgorithm,
+    graph: Any,
+    predictions: Optional[Mapping[int, Any]],
+    config: RunConfig,
+) -> Tuple[ExecutionModel, int]:
+    """The model and round budget a run resolves to, after the predictions
+    check; the edge-cut coordinator needs both before any engine exists."""
+    if algorithm.uses_predictions and predictions is None:
+        raise ValueError(
+            f"{algorithm.name or type(algorithm).__name__} requires predictions"
+        )
+    max_rounds = config.max_rounds
+    if max_rounds is None:
+        max_rounds = default_round_budget(graph.n)
+    return config.model or algorithm.model, max_rounds
+
+
+def run_engine(
+    algorithm: DistributedAlgorithm,
+    graph: Any,
+    predictions: Optional[Mapping[int, Any]],
+    config: RunConfig,
+    *,
+    sinks: Optional[Any] = None,
+    transport: Optional[Any] = None,
+    drive: Optional[Callable[[SyncEngine], RunResult]] = None,
+) -> RunResult:
+    """Build one engine, drive it and free it: the one engine construction
+    site, for :func:`run` and every edge-cut shard driver.
+
+    The capability table decides first, so a refusal raises and a
+    downgrade warns once before the engine exists.  ``transport`` is the
+    engine's transport factory; ``drive`` runs the engine and returns its
+    result (default :meth:`SyncEngine.run`).  The collector stays off the
+    per-run graph while it lives, and the released engine is freed by
+    refcount (see :mod:`repro.simulator.collector`).
+    """
+    model, max_rounds = resolve_run(algorithm, graph, predictions, config)
+    verdict = decide(
+        config.schedule,
+        faults=config.faults is not None,
+        trace=config.trace or bool(sinks),
+        profile=config.profile,
+        fallback=config.fallback,
+    ).enact(stacklevel=4)
     recorder = TraceRecorder() if config.trace else None
-    # The collector stays off the per-run graph while it is alive, and
-    # the released engine is freed by refcount before the guard's one
-    # young-generation pass (see repro.simulator.collector).
     with paused_collector():
         engine = SyncEngine(
             graph,
             lambda node: algorithm.build_program(),
             predictions=predictions,
-            model=config.model or algorithm.model,
-            max_rounds=config.max_rounds,
+            model=model,
+            max_rounds=max_rounds,
             seed=config.effective_seed,
             trace=recorder,
             sinks=sinks,
@@ -309,15 +318,16 @@ def run(
             faults=config.faults,
             on_round_limit=config.on_round_limit,
             fast=config.fast,
-            schedule=config.schedule,
+            schedule=verdict.schedule,
             phi=config.phi,
             send_timeout=config.send_timeout,
             max_retries=config.max_retries,
             deadline_s=config.deadline_s,
-            fallback=config.fallback,
+            fallback=verdict.fallback,
+            transport=transport,
         )
         try:
-            result = engine.run()
+            result = engine.run() if drive is None else drive(engine)
         finally:
             engine._release()
         del engine

@@ -22,16 +22,20 @@ dispatched work item *is*:
   CSR topology crossing the pool boundary ships once as a shared-memory
   segment and each cell pickles down to a ~100-byte handle (measured
   into the rows' ``ship_bytes``/``shared_bytes`` columns).
-* ``shard="components"`` / ``shard="edgecut"`` — eligible cells (see
-  :func:`_shard_kind`) run as shards.  Component shards are independent,
-  so on the process backend they become one pool work item each and
-  their rows merge back into one bit-identical row; edge-cut shards are
+* ``shard="components"`` / ``shard="edgecut"`` — cells the capability
+  table lets shard run as shards.  Component shards are independent, so
+  on the process backend they become one pool work item each and their
+  rows merge back into one bit-identical row; edge-cut shards are
   coupled by a per-round barrier, so each such cell runs as one unit
   whose shard drivers the parent coordinates (see
   :mod:`repro.shard.edgecut`).
 
-Every cell takes one dispatch (:func:`_run_cell`), and every run becomes
-a row in one place (:func:`repro.exec.results.cell_row`).  The serial
+Every cell is decided once, in the parent, before any cell runs
+(:func:`_decided`): the capability table refuses what cannot run, warns
+once per distinct downgrade, and rewrites the cell's config to what
+actually runs.  Every cell then takes one dispatch (:func:`_run_cell`),
+which reads the decided shard mode, and every run becomes a row in one
+place (:func:`repro.exec.results.cell_row`).  The serial
 backend, the process backend and the fallback when the platform denies
 spawning differ only in whether shard drivers are threads or processes.
 """
@@ -42,6 +46,7 @@ import os
 import pickle
 import time
 import warnings
+from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
@@ -56,11 +61,12 @@ from repro.exec.plan import Cell, Spec, Sweep, derive_cell_seed
 from repro.exec.results import CellResult, SweepResult, cell_row
 from repro.obs.events import MemoryEventSink, write_jsonl_events
 from repro.shard.edgecut import execute_edgecut_cell
-from repro.shard.plan import execute_shard, merge_partials, shard_mode
+from repro.shard.plan import execute_shard, merge_partials
 from repro.shard.store import SharedCSRStore, reset_worker_state
+from repro.simulator.capability import decide
 
 #: A pool work item: an entire cell, or one component shard.
-#: ``("cell", index, cell, seed, profile, events)`` /
+#: ``("cell", index, cell, seed, events)`` /
 #: ``("shard", index, cell, seed, shard, shard_count)``.
 #: Edge-cut cells never become pool items (see the module docstring).
 WorkItem = Tuple[Any, ...]
@@ -103,15 +109,9 @@ def execute(
             "artifacts on disk, or use backend='serial'"
         )
     events = events or events_path is not None
-    _warn_unshardable(sweep, profile=profile, events=events)
-    tagged = [
-        (index, cell, _resolved_seed(sweep, index, cell))
-        for index, cell in enumerate(sweep.cells)
-    ]
     shard_count = max(1, jobs or os.cpu_count() or 2)
-    sharded = any(
-        _shard_kind(cell, profile, events, shard_count) for _, cell, _ in tagged
-    )
+    tagged = _decided(sweep, profile, events, shard_count)
+    sharded = any(cell.config.policy.shard for _, cell, _ in tagged)
     start = time.perf_counter()
     shared_bytes = 0
     if backend == "serial" or (len(tagged) <= 1 and not sharded):
@@ -123,9 +123,7 @@ def execute(
             if cache is not None
             else ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
         )
-        rows, stats = _execute_serial(
-            tagged, local_cache, profile, events, shard_count
-        )
+        rows, stats = _execute_serial(tagged, local_cache, events, shard_count)
     else:
         store = None
         if any(cell.config.policy.share_graph for _, cell, _ in tagged):
@@ -139,7 +137,6 @@ def execute(
                 chunk_size=chunk_size,
                 cache_dir=cache_dir,
                 cache_size=cache_size,
-                profile=profile,
                 events=events,
                 shard_count=shard_count,
                 store=store,
@@ -164,27 +161,45 @@ def execute(
     return result
 
 
-def _warn_unshardable(sweep: Sweep, *, profile: bool, events: bool) -> None:
-    """Warn (once per sweep) when ``shard=`` is requested but gated off.
+def _decided(
+    sweep: Sweep, profile: bool, events: bool, shard_count: int
+) -> List[Tuple[int, Cell, int]]:
+    """``(index, cell, seed)`` for every cell as it will run.
 
-    Fault plans, custom metrics, profiling and event capture all need
-    the whole graph in one engine; such cells silently running unsharded
-    would misreport the sweep's parallelism, so say it out loud.
+    The capability table decides each cell once, before any cell runs:
+    a refusal raises here, each distinct downgrade warns once (a sharded
+    request with faults, custom metrics, profiling, event capture or a
+    trace runs unsharded, as does an edge-cut request with one shard),
+    and the cell's config is rewritten to what actually runs (with
+    ``profile`` folded in), so no later stage decides again.
     """
-    for cell in sweep.cells:
-        if (
-            cell.config.policy.shard is not None
-            and shard_mode(cell, profile=profile, events=events) is None
-        ):
-            warnings.warn(
-                f"cell {cell.label!r} requested shard="
-                f"{cell.config.policy.shard!r} but carries a feature that "
-                "needs the whole graph in one engine (faults, custom "
-                "metrics, profiling or event capture); running unsharded",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
+    tagged = []
+    warned = set()
+    for index, cell in enumerate(sweep.cells):
+        config = cell.config
+        if profile:
+            config = config.with_overrides(profile=True)
+        policy = config.policy
+        verdict = decide(
+            policy.schedule,
+            shard=policy.shard,
+            shard_count=shard_count,
+            faults=cell.faults is not None or config.faults is not None,
+            trace=events or config.trace,
+            profile=config.profile,
+            metrics=cell.metrics is not None,
+            fallback=policy.fallback,
+        )
+        if verdict.error is not None or verdict.message not in warned:
+            warned.add(verdict.message)
+            verdict.enact(stacklevel=5)
+        decided = verdict.applied_to(policy)
+        if decided is not policy:
+            config = config.with_overrides(policy=decided)
+        if config is not cell.config:
+            cell = replace(cell, config=config)
+        tagged.append((index, cell, _resolved_seed(sweep, index, cell)))
+    return tagged
 
 
 def _write_sweep_events(path: str, rows: List[CellResult]) -> None:
@@ -212,25 +227,11 @@ def _resolved_seed(sweep: Sweep, index: int, cell: Cell) -> int:
 # ----------------------------------------------------------------------
 # Per-cell execution (shared verbatim by both backends)
 # ----------------------------------------------------------------------
-def _shard_kind(
-    cell: Cell, profile: bool, events: bool, shard_count: int
-) -> Optional[str]:
-    """How a cell runs: ``"components"``, ``"edgecut"``, or ``None`` for
-    one engine.  Edge-cut cells also take one engine when there is a
-    single shard (``jobs=1``) or a trace to record — both need the whole
-    graph in one place."""
-    kind = shard_mode(cell, profile=profile, events=events)
-    if kind == "edgecut" and (shard_count < 2 or cell.config.trace):
-        return None
-    return kind
-
-
 def _execute_cell(
     index: int,
     cell: Cell,
     seed: int,
     cache: ArtifactCache,
-    profile: bool = False,
     events: bool = False,
 ) -> CellResult:
     """One cell in one engine."""
@@ -242,8 +243,6 @@ def _execute_cell(
     config = cell.config.with_overrides(seed=seed)
     if faults is not None:
         config = config.with_overrides(faults=faults)
-    if profile:
-        config = config.with_overrides(profile=True)
     sink = MemoryEventSink() if events else None
     result = run(
         cell.algorithm.build(),
@@ -264,20 +263,19 @@ def _run_cell(
     cell: Cell,
     seed: int,
     cache: ArtifactCache,
-    profile: bool,
     events: bool,
     shard_count: int,
     drivers: str,
 ) -> CellResult:
-    """The one dispatch: a cell on this process, sharded as its policy
-    and features allow.
+    """The one dispatch: a decided cell on this process, sharded as its
+    policy says (see :func:`_decided`).
 
     Component shards run one after another here and merge in place —
     the serial spelling of the pool's split, so every backend yields the
     same rows.  ``drivers`` (``"thread"`` or ``"process"``) is what runs
     an edge-cut cell's shards.
     """
-    kind = _shard_kind(cell, profile, events, shard_count)
+    kind = cell.config.policy.shard
     if kind == "edgecut":
         return execute_edgecut_cell(
             index, cell, seed, shard_count, mode=drivers, cache=cache
@@ -289,21 +287,18 @@ def _run_cell(
                 for shard in range(shard_count)
             ]
         )
-    return _execute_cell(index, cell, seed, cache, profile, events)
+    return _execute_cell(index, cell, seed, cache, events)
 
 
 def _execute_serial(
     tagged: List[Tuple[int, Cell, int]],
     cache: ArtifactCache,
-    profile: bool,
     events: bool,
     shard_count: int,
 ) -> Tuple[List[CellResult], Dict[str, int]]:
     """Every cell in this process, edge-cut shards on threads."""
     rows = [
-        _run_cell(
-            index, cell, seed, cache, profile, events, shard_count, "thread"
-        )
+        _run_cell(index, cell, seed, cache, events, shard_count, "thread")
         for index, cell, seed in tagged
     ]
     return rows, cache.stats()
@@ -326,8 +321,8 @@ def _execute_item(item: WorkItem, cache: ArtifactCache) -> CellResult:
     """One work item in a worker: a cell's row, or one shard's row."""
     kind = item[0]
     if kind == "cell":
-        _, index, cell, seed, profile, events = item
-        return _execute_cell(index, cell, seed, cache, profile, events)
+        _, index, cell, seed, events = item
+        return _execute_cell(index, cell, seed, cache, events)
     _, index, cell, seed, shard, shard_count = item
     return execute_shard(index, cell, seed, shard, shard_count, cache)
 
@@ -416,7 +411,6 @@ def _drain_pool(
 def _expand_items(
     tagged: List[Tuple[int, Cell, int]],
     shard_count: int,
-    profile: bool,
     events: bool,
 ) -> List[WorkItem]:
     """Work items in grid order: one per cell, or one per shard for
@@ -424,13 +418,13 @@ def _expand_items(
     — the caller runs them with parent-coordinated shard drivers."""
     items: List[WorkItem] = []
     for index, cell, seed in tagged:
-        if _shard_kind(cell, profile, events, shard_count) == "components":
+        if cell.config.policy.shard == "components":
             items.extend(
                 ("shard", index, cell, seed, shard, shard_count)
                 for shard in range(shard_count)
             )
         else:
-            items.append(("cell", index, cell, seed, profile, events))
+            items.append(("cell", index, cell, seed, events))
     return items
 
 
@@ -493,7 +487,6 @@ def _execute_process_pool(
     chunk_size: Optional[int],
     cache_dir: Optional[str],
     cache_size: int,
-    profile: bool = False,
     events: bool = False,
     shard_count: int = 1,
     store: Optional[SharedCSRStore] = None,
@@ -508,11 +501,11 @@ def _execute_process_pool(
     edgecut = {
         index
         for index, cell, _ in tagged
-        if _shard_kind(cell, profile, events, shard_count) == "edgecut"
+        if cell.config.policy.shard == "edgecut"
     }
     edgecut_tagged = [entry for entry in tagged if entry[0] in edgecut]
     pool_tagged = [entry for entry in tagged if entry[0] not in edgecut]
-    items = _expand_items(pool_tagged, shard_count, profile, events)
+    items = _expand_items(pool_tagged, shard_count, events)
     workers = max(1, min(jobs or os.cpu_count() or 2, len(items)))
     ship = _measure_shipping(items, store) if store is not None else {}
     if chunk_size is None:
@@ -557,8 +550,7 @@ def _execute_process_pool(
         parent_cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
         rows.extend(
             _run_cell(
-                index, cell, seed, parent_cache, profile, events,
-                shard_count, "process",
+                index, cell, seed, parent_cache, events, shard_count, "process"
             )
             for index, cell, seed in edgecut_tagged
         )
@@ -581,8 +573,6 @@ def _execute_process_pool(
             stacklevel=2,
         )
         cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
-        rows, stats = _execute_serial(
-            tagged, cache, profile, events, shard_count
-        )
+        rows, stats = _execute_serial(tagged, cache, events, shard_count)
         return rows, stats, "serial"
     return rows, stats, "process"

@@ -18,9 +18,11 @@ One kernel per algorithm family lives in its own module:
 The registry is keyed by the template (algorithm) name; resolution
 matches the *program class* a run would execute, so a kernel only ever
 replaces the exact per-node program it was verified bit-identical
-against (tests/test_vectorized.py fuzzes that equivalence).  Anything
-else — unregistered programs, fault plans, event sinks, per-node program
-mappings — fails the capability handshake with
+against (tests/test_vectorized.py fuzzes that equivalence).  Fault
+plans, event sinks, traces and edge-cut shards are refused by the
+capability table (:mod:`repro.simulator.capability`) before any engine
+exists; unregistered programs and per-node program mappings fail the
+engine's program-family probe (:func:`resolve_kernel`).  Either raises
 :class:`UnsupportedScheduleError`, or falls back to the interpreted
 quiescent schedule when the run asks for ``fallback="interpret"``.
 """
@@ -41,12 +43,12 @@ __all__ = [
 class UnsupportedScheduleError(RuntimeError):
     """``schedule="vectorized"`` cannot execute this run.
 
-    Raised by the kernel-capability handshake when no compiled kernel
-    matches the run's program family, when the graph is an edge-cut
-    shard, or when the run uses features only the interpreted engine
-    implements (fault injection, event sinks, traces, per-node program
-    mappings).  Pass ``fallback="interpret"`` to downgrade the error to
-    a warning and run the interpreted quiescent schedule instead.
+    Raised by the capability table when the run uses features only the
+    interpreted engine implements (fault injection, event sinks, traces,
+    edge-cut shards), and by the engine's program-family probe when no
+    compiled kernel matches the run's programs.  Pass
+    ``fallback="interpret"`` to downgrade the error to a warning and run
+    the interpreted quiescent schedule instead.
     """
 
 
@@ -97,30 +99,15 @@ def kernel_for_program(program: Any) -> Optional[type]:
 
 
 def resolve_kernel(rt: Any, programs: Any) -> Any:
-    """Capability handshake: return a bound-ready kernel or raise.
+    """The program-family probe: return a bound-ready kernel or raise.
 
-    ``rt`` is the engine mid-construction (graph/model/faults/obs wired,
-    per-node state not yet built); ``programs`` is the run's program
-    source.  Raises :class:`UnsupportedScheduleError` with an actionable
-    reason when the run cannot be vectorized.
+    ``rt`` is the engine mid-construction; ``programs`` is the run's
+    program source.  The run features the kernels cannot reproduce
+    (faults, sinks, traces, edge-cut shards) are refused earlier by the
+    capability table (:mod:`repro.simulator.capability`); this probe
+    only asks whether a kernel exists for the programs themselves and
+    raises :class:`UnsupportedScheduleError` when none does.
     """
-    if rt.interposer is not None:
-        raise UnsupportedScheduleError(
-            "fault injection (faults=) is interpreted-only; "
-            "vectorized kernels have no per-message fault surface"
-        )
-    if getattr(rt.graph, "is_edgecut", False):
-        raise UnsupportedScheduleError(
-            "edge-cut shards are interpreted-only: compiled kernels index "
-            "dense whole-graph arrays and have no boundary exchange; use "
-            "schedule='eager'/'quiescent' or fallback='interpret'"
-        )
-    if rt.obs:
-        raise UnsupportedScheduleError(
-            "event sinks and traces observe per-node phases the vectorized "
-            "kernels do not execute; drop sinks=/trace= or use an "
-            "interpreted schedule"
-        )
     if not callable(programs):
         raise UnsupportedScheduleError(
             "per-node program mappings may mix program types; "

@@ -8,6 +8,7 @@ neighbors.  Predictions are a predicted partner (or ⊥) per node.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.graphs.graph import DistGraph
@@ -34,11 +35,21 @@ class MaximalMatchingProblem(GraphProblem):
         return self._check_consistency(graph, outputs)
 
     def _check_consistency(self, graph: DistGraph, outputs: Outputs) -> List[str]:
+        """Mutual matches along edges, and no edge between two ⊥-nodes.
+
+        On CSR rows, as MIS verification does: a partner must be in the
+        node's row, and set algebra over the ⊥-nodes' rows finds the
+        ⊥-nodes with a ⊥-neighbor (``covered``).  Only those walk their
+        neighbor sets, so messages keep the per-node scan's order and a
+        cold graph builds no frozenset per node.
+        """
         problems: List[str] = []
+        csr = graph.csr
+        index_of = csr.index_of
         for node, value in sorted(outputs.items()):
             if value == UNMATCHED:
                 continue
-            if value not in graph.neighbors(node):
+            if index_of.get(value, -1) not in csr.row(index_of[node]):
                 problems.append(f"node {node} matched to non-neighbor {value!r}")
                 continue
             partner_value = outputs.get(value)
@@ -47,9 +58,12 @@ class MaximalMatchingProblem(GraphProblem):
                     f"match {node}->{value} not reciprocated "
                     f"(partner output {partner_value!r})"
                 )
-        for node, value in sorted(outputs.items()):
-            if value != UNMATCHED:
-                continue
+        unmatched = {
+            index_of[node] for node, value in outputs.items() if value == UNMATCHED
+        }
+        covered = unmatched.intersection(chain.from_iterable(map(csr.row, unmatched)))
+        ids = csr.ids
+        for node in sorted(map(ids.__getitem__, covered)):
             for other in graph.neighbors(node):
                 if other in outputs and outputs[other] == UNMATCHED and other > node:
                     problems.append(f"adjacent unmatched nodes {node} and {other}")

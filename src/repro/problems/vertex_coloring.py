@@ -10,7 +10,8 @@ degree, so any remainder solution completes it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.graphs.graph import DistGraph
 from repro.problems.base import GraphProblem, Outputs
@@ -42,7 +43,27 @@ class VertexColoringProblem(GraphProblem):
                     f"node {node} output {color!r}, expected a color in "
                     f"1..{palette_size}"
                 )
-        for node, color in sorted(outputs.items()):
+        # Conflicts by set algebra over CSR rows, as MIS verification
+        # does: a color class conflicts exactly when the indices next to
+        # its members meet the class (a node without output reads as
+        # color None, as ``outputs.get`` does below).  Only conflicting
+        # nodes walk their neighbor sets, so messages keep the per-node
+        # scan's order and a cold graph builds no frozenset per node.
+        csr = graph.csr
+        index_of = csr.index_of
+        classes: Dict[Any, Set[int]] = {}
+        for node, color in outputs.items():
+            classes.setdefault(color, set()).add(index_of[node])
+        if None in classes:
+            classes[None].update(set(range(csr.n)).difference(*classes.values()))
+        conflicted: Set[int] = set()
+        for members in classes.values():
+            conflicted |= members.intersection(
+                chain.from_iterable(map(csr.row, members))
+            )
+        ids = csr.ids
+        for node in sorted(ids[index] for index in conflicted if ids[index] in outputs):
+            color = outputs[node]
             for other in graph.neighbors(node):
                 if other > node and outputs.get(other) == color:
                     problems.append(

@@ -51,6 +51,7 @@ import threading
 import time
 import traceback
 from bisect import bisect_right
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -62,10 +63,11 @@ from typing import (
     Tuple,
 )
 
+from repro.core.runner import RunConfig, resolve_run, run_engine
 from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
 from repro.shard.store import SharedCSRStore, reset_worker_state
-from repro.simulator.collector import paused_collector
+from repro.simulator.capability import decide
 from repro.simulator.engine import RoundLimitExceeded, SyncEngine
 from repro.simulator.metrics import RunResult, StuckReport
 from repro.simulator.transport import BoundaryTransport, bandwidth_error
@@ -76,12 +78,6 @@ if TYPE_CHECKING:  # lazy at runtime: repro.exec imports this module.
     from repro.exec.results import CellResult
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
-
-#: Schedules whose round loops carry the boundary hooks.  ``vectorized``
-#: reaches the kernel resolver, which rejects edge-cut views (or
-#: downgrades via ``fallback="interpret"``); ``async`` is rejected by
-#: :class:`~repro.core.runner.ExecutionPolicy` before a driver exists.
-_SUPPORTED_SCHEDULES = ("eager", "quiescent", "quiescent-debug", "vectorized")
 
 
 class EdgecutPlan:
@@ -231,8 +227,6 @@ class EdgecutPlan:
             )
 
 
-
-
 # ----------------------------------------------------------------------
 # Connections between the coordinator and its shard drivers
 # ----------------------------------------------------------------------
@@ -298,58 +292,6 @@ class _Link:
 # ----------------------------------------------------------------------
 # Shard driver (a thread or a worker process)
 # ----------------------------------------------------------------------
-def _build_shard_engine(
-    graph: DistGraph,
-    algorithm: Any,
-    predictions: Optional[Mapping[int, Any]],
-    config: Any,
-    shard: int,
-    shard_count: int,
-    coordinator: Any,
-) -> SyncEngine:
-    """One shard's engine: an :class:`EdgecutView` plus a boundary
-    transport, constructed exactly as :func:`repro.core.runner.run`
-    builds the unsharded engine (same model/seed/budget resolution).
-    ``deadline_s`` stays with the coordinator — a shard stopping on its
-    own clock would desert the barrier.
-    """
-    view = EdgecutView(graph, shard, shard_count)
-    restricted = None
-    if predictions is not None:
-        restricted = {
-            node: predictions[node]
-            for node in view.nodes
-            if node in predictions
-        }
-    owned = frozenset(view.nodes)
-
-    def transport_factory(nodes, result, model, n, fast):
-        return BoundaryTransport(
-            nodes,
-            result,
-            model,
-            n,
-            fast,
-            owned=owned,
-            shard=shard,
-            coordinator=coordinator,
-        )
-
-    return SyncEngine(
-        view,
-        lambda node: algorithm.build_program(),
-        predictions=restricted,
-        model=config.model or algorithm.model,
-        max_rounds=config.max_rounds,
-        seed=config.effective_seed,
-        on_round_limit=config.on_round_limit,
-        fast=config.fast,
-        schedule=config.schedule,
-        fallback=config.fallback,
-        transport=transport_factory,
-    )
-
-
 def _event_key(event: tuple) -> Tuple[bool, int]:
     """The unsharded publication order: terminations before crashes,
     each ascending by node."""
@@ -385,8 +327,8 @@ def _publish_events(engine: SyncEngine, events: Sequence[tuple]) -> None:
             scheduler.on_crashed(node, owned)
 
 
-def _run_rounds(engine: SyncEngine, link: _Link) -> None:
-    """Run one shard to the global stop decision, filling its result.
+def _run_rounds(engine: SyncEngine, link: _Link) -> RunResult:
+    """Run one shard to the global stop decision and return its result.
 
     The loop shape matches :meth:`SyncEngine.run` with the control
     checks hoisted to the coordinator: setup, then — per round — an
@@ -433,11 +375,14 @@ def _run_rounds(engine: SyncEngine, link: _Link) -> None:
         result.stuck = engine._build_stuck_report(round_index, reason="deadline")
     elif command == "round-limit-partial":
         result.stuck = engine._build_stuck_report(round_index)
+    return result
 
 
 def _drive_shard(conn: Any, in_process: bool) -> None:
-    """One shard driver: receive its inputs, build the shard engine, run
-    its rounds against the coordinator and report.
+    """One shard driver: receive its inputs, build the shard engine over
+    an :class:`EdgecutView` and a boundary transport (through
+    :func:`repro.core.runner.run_engine`, as an unsharded run builds its
+    engine), run its rounds against the coordinator and report.
 
     The final message is ``("done", result)`` or ``("error", failure)``:
     in-process the exception itself, so callers see its original type
@@ -455,18 +400,27 @@ def _drive_shard(conn: Any, in_process: bool) -> None:
             if predictions is not None:
                 predictions = predictions.build(graph)
         link = _Link(conn)
-        # As in repro.core.runner.run: no cyclic collection while the
-        # shard engine lives, and refcount frees it once released.
-        with paused_collector():
-            engine = _build_shard_engine(
-                graph, algorithm, predictions, config, shard, shard_count, link
+        view = EdgecutView(graph, shard, shard_count)
+        if predictions is not None:
+            predictions = {
+                node: predictions[node] for node in view.nodes if node in predictions
+            }
+        owned = frozenset(view.nodes)
+
+        def transport(nodes, result, model, n, fast):
+            return BoundaryTransport(
+                nodes, result, model, n, fast,
+                owned=owned, shard=shard, coordinator=link,
             )
-            try:
-                _run_rounds(engine, link)
-            finally:
-                engine._release()
-            result = engine.result
-            del engine
+
+        result = run_engine(
+            algorithm,
+            view,
+            predictions,
+            config,
+            transport=transport,
+            drive=lambda engine: _run_rounds(engine, link),
+        )
         if not in_process:
             result.records = {}
         conn.send(("done", result))
@@ -645,21 +599,6 @@ def _run_shards(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _check_shardable(config: Any, shard_count: int) -> None:
-    if shard_count < 2:
-        raise ValueError(
-            f"edge-cut sharding needs >= 2 shards, got {shard_count}"
-        )
-    if config.faults is not None:
-        raise ValueError("edge-cut sharding cannot run fault plans")
-    if config.trace or config.profile:
-        raise ValueError("edge-cut sharding cannot capture traces or profiles")
-    if config.schedule not in _SUPPORTED_SCHEDULES:
-        raise ValueError(
-            f"edge-cut sharding does not support schedule={config.schedule!r}"
-        )
-
-
 def _run_edgecut(
     algorithm: Any,
     graph: DistGraph,
@@ -672,26 +611,40 @@ def _run_edgecut(
     """One edge-cut run: the merged result plus the plan, whose
     boundary counters are the run's inter-shard traffic.
 
+    The capability table decides the run strictly, before any shard
+    driver starts: a combination edge-cut cannot run raises once, here,
+    with its type intact on both driver kinds, and the vectorized
+    fallback warns once, not once per shard.
+
     With ``specs`` — the cell's ``(algorithm, predictions)`` specs — the
     shard drivers are worker processes that build both themselves;
     without, they are threads sharing ``algorithm`` and ``predictions``.
     """
-    _check_shardable(config, shard_count)
-    if algorithm.uses_predictions and predictions is None:
-        raise ValueError(
-            f"{algorithm.name or type(algorithm).__name__} requires predictions"
-        )
-    model = config.model or algorithm.model
+    policy = config.policy
+    verdict = decide(
+        policy.schedule,
+        shard="edgecut",
+        shard_count=shard_count,
+        faults=config.faults is not None,
+        trace=config.trace,
+        profile=config.profile,
+        fallback=policy.fallback,
+        strict=True,
+    ).enact(stacklevel=4)
+    model, max_rounds = resolve_run(algorithm, graph, predictions, config)
     plan = EdgecutPlan(
         graph,
         shard_count,
-        # The engine's default budget: 8n + 64.
-        max_rounds=(
-            config.max_rounds if config.max_rounds is not None else 8 * graph.n + 64
-        ),
+        max_rounds=max_rounds,
         on_round_limit=config.on_round_limit,
-        deadline_s=config.deadline_s,
+        deadline_s=policy.deadline_s,
         bandwidth_budget=model.bandwidth_bits(graph.n),
+    )
+    # The shards run what the table decided; the deadline stays with the
+    # coordinator, since a shard stopping on its own clock would desert
+    # the barrier.
+    config = config.with_overrides(
+        policy=replace(verdict.applied_to(policy), deadline_s=None)
     )
     shared = specs if specs is not None else (algorithm, predictions)
     result = _run_shards(
@@ -716,8 +669,6 @@ def run_edgecut(
     exceptions, round-limit behavior and stuck reports are bit-identical
     to the unsharded call.
     """
-    from repro.core.runner import RunConfig
-
     return _run_edgecut(
         algorithm, graph, predictions, config or RunConfig(), shard_count
     )[0]

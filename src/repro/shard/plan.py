@@ -19,11 +19,12 @@ ambient quantity a node observes is pinned to the parent graph's value:
   message/solution counts are sums, validity is a conjunction, and η₁ is
   a maximum (error components are sub-component by definition).
 
-What shards: cells without fault plans, custom metrics, profiling or
-event capture, on any schedule except ``"async"`` (the delay adversary
-draws from tick-global streams, so component isolation does not hold;
-:class:`~repro.core.runner.ExecutionPolicy` rejects the combination).
-:func:`shard_mode` is the single gate both backends consult.
+What shards: cells without fault plans, custom metrics, profiling,
+traces or event capture, on any schedule except ``"async"`` (the delay
+adversary draws from tick-global streams, so component isolation does
+not hold).  The capability table (:mod:`repro.simulator.capability`)
+decides it once per cell, before the sweep runs; a cell it will not
+shard runs unsharded with one warning.
 """
 
 from __future__ import annotations
@@ -40,26 +41,6 @@ if TYPE_CHECKING:  # imported lazily at runtime: repro.exec imports this
     from repro.exec.cache import ArtifactCache
     from repro.exec.plan import Cell
     from repro.exec.results import CellResult
-
-
-def shard_mode(
-    cell: "Cell", *, profile: bool = False, events: bool = False
-) -> Optional[str]:
-    """The cell's effective shard mode, or ``None`` when it must run
-    unsharded (no shard requested, or a feature that needs the whole
-    graph in one engine — faults, custom metrics, profiling, events)."""
-    mode = cell.config.policy.shard
-    if mode is None:
-        return None
-    if (
-        cell.faults is not None
-        or cell.config.faults is not None
-        or cell.metrics is not None
-        or profile
-        or events
-    ):
-        return None
-    return mode
 
 
 def shard_view(parent: DistGraph, nodes: Sequence[int]) -> DistGraph:
@@ -127,9 +108,9 @@ class EdgecutView:
 
     __slots__ = ("parent", "shard", "shard_count", "nodes")
 
-    #: Marker the kernel resolver checks: compiled whole-frontier kernels
-    #: index dense per-node arrays and have no halo exchange, so they
-    #: reject edge-cut views loudly (``UnsupportedScheduleError``).
+    #: Marks an engine's graph as an edge-cut shard: the engine asks the
+    #: capability table strictly for ``shard="edgecut"``, so compiled
+    #: kernels (no halo exchange) and whole-graph features refuse loudly.
     is_edgecut = True
 
     def __init__(

@@ -24,10 +24,13 @@ docs/ARCHITECTURE.md: :class:`~repro.simulator.transport.Transport`
 :class:`~repro.simulator.lifecycle.NodeLifecycle` (terminations, crashes,
 recoveries) and :class:`~repro.simulator.obs_dispatch.ObsDispatch` (event
 fan-out + profiling), all over the shared
-:class:`~repro.graphs.csr.CSRTopology` graph core.
+:class:`~repro.graphs.csr.CSRTopology` graph core.  Which combinations of
+schedule, shard mode, faults, sinks and profiling can run is decided by
+one table, :mod:`repro.simulator.capability`.
 """
 
 from repro.simulator.adversary import DelayAdversary, RetryPolicy
+from repro.simulator.capability import CapabilityError, schedule_capabilities
 from repro.simulator.context import NodeContext
 from repro.simulator.engine import (
     BandwidthExceeded,
@@ -54,7 +57,6 @@ from repro.simulator.scheduling import (
     QuiescentScheduler,
     Scheduler,
     VectorizedScheduler,
-    schedule_capabilities,
 )
 from repro.simulator.trace import TraceEvent, TraceRecorder
 from repro.simulator.transport import Transport
@@ -63,6 +65,7 @@ __all__ = [
     "AsyncScheduler",
     "BandwidthExceeded",
     "CONGEST",
+    "CapabilityError",
     "DelayAdversary",
     "EagerScheduler",
     "ExecutionModel",

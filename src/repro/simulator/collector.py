@@ -5,8 +5,9 @@ record, program, generator frames, closures), all of which stay alive
 until the run ends.  With the collector running, every allocation burst
 triggers generation scans over that live graph, and the scans grow with
 ``n`` without ever finding garbage.  :func:`paused_collector` suspends
-automatic collection while an owner (``repro.core.runner.run`` or an
-edge-cut shard driver) builds and drives its engine; the owner then cuts
+automatic collection while its one owner, ``repro.core.runner.run_engine``
+(called by ``run()`` and every edge-cut shard driver), builds and drives
+an engine; the owner then cuts
 the engine's stage back-references (``SyncEngine._release``) so
 reference counting frees the per-run graph at once, and the guard's exit
 runs one young-generation pass over whatever the run left behind.

@@ -43,6 +43,12 @@ from typing import (
 )
 
 from repro.obs.profile import NULL_CLOCK, PhaseClock, RoundProfile
+from repro.simulator.capability import (
+    SCHEDULES,
+    check_policy,
+    decide,
+    fall_back,
+)
 from repro.simulator.context import NodeContext
 from repro.simulator.interpose import FaultInterposer
 from repro.simulator.lifecycle import NodeLifecycle
@@ -64,6 +70,11 @@ __all__ = [
     "RoundLimitExceeded",
     "SyncEngine",
 ]
+
+
+def default_round_budget(n: int) -> int:
+    """The round budget of a run that sets none: ``8 * n + 64``."""
+    return 8 * n + 64
 
 
 class RoundLimitExceeded(RuntimeError):
@@ -97,7 +108,8 @@ class SyncEngine:
         predictions: Optional mapping ``node -> prediction`` handed to each
             node's context (the per-node prediction of Section 1.1).
         model: Execution model for bandwidth accounting.
-        max_rounds: Round budget; defaults to ``8 * n + 64``.
+        max_rounds: Round budget; defaults to
+            :func:`default_round_budget` (``8 * n + 64``).
         seed: Base seed for the per-node random streams.
         trace: Optional :class:`TraceRecorder` receiving every event
             (kept as a named argument because the recorder is attached
@@ -125,45 +137,16 @@ class SyncEngine:
             maximum throughput; ``message_count`` is still maintained.
             Outputs, round counts and termination records are identical
             to a normal run.
-        schedule: Round-scheduling policy.  ``"eager"`` (default) runs
-            every active node every round.  ``"quiescent"`` skips nodes
-            whose programs declare ``quiescent_when_idle = True`` in
-            rounds with no wake reason (mail, neighbor event, setup or
-            recovery, timed wakeup via ``ctx.wake_at``), cutting frontier
-            workloads from Θ(n · rounds) to Θ(total activity) while
-            staying observationally identical.  ``"quiescent-debug"``
-            executes eagerly but raises :class:`QuiescenceViolation` when
-            an idle node acts.  ``"async"`` is the asynchronous execution
-            model of docs/MODEL.md: messages are delayed up to ``phi``
-            ticks by a seeded adversary, nodes fire on receipt, and a
-            stabilization detector quiesces starved runs.
-            ``"vectorized"`` executes compiled whole-frontier NumPy
-            kernels (:mod:`repro.kernels`) over the CSR buffers instead
-            of interpreting per-node programs — bit-identical outputs
-            and counters for the registered greedy families, an order
-            of magnitude faster at scale; unsupported runs raise
-            :class:`~repro.kernels.UnsupportedScheduleError` (see
-            ``fallback``).  See docs/PERFORMANCE.md.
-        phi: Delay bound (ticks) for the ``"async"`` schedule's
-            adversary; ``0`` (default) degenerates to synchronous
-            delivery.  Only meaningful with ``schedule="async"``.
-        send_timeout: Ticks an async sender waits before retransmitting
-            a lost message (exponential backoff, ``max_retries``
-            attempts); ``None`` (default) disables retries.  Only
-            meaningful with ``schedule="async"``.
-        max_retries: Retransmission budget per original send.
-        deadline_s: Optional wall-clock budget (seconds) for the whole
-            run.  A run that exceeds it stops *gracefully* — whatever
-            ``on_round_limit`` says — and returns the partial result
-            with a ``stuck`` report whose ``reason`` is ``"deadline"``,
-            so a hung cell can never wedge a sweep or CI job.
-        fallback: What to do when ``schedule="vectorized"`` cannot run
-            this instance (no kernel for the program family, fault
-            injection, event sinks, per-node program mappings).
-            ``None`` (default) raises
-            :class:`~repro.kernels.UnsupportedScheduleError`;
-            ``"interpret"`` warns and downgrades to the interpreted
-            ``"quiescent"`` schedule, which accepts any program.
+        schedule, phi, send_timeout, max_retries, deadline_s, fallback:
+            The :class:`~repro.core.runner.ExecutionPolicy` knobs, with
+            the same meanings and defaults.  The capability table
+            (:mod:`repro.simulator.capability`) checks them and this
+            run's features before anything is built: a refusal raises,
+            a downgrade warns once and the engine runs what the table
+            decided.  A ``schedule="vectorized"`` run whose programs
+            have no compiled kernel raises
+            :class:`~repro.kernels.UnsupportedScheduleError`, or under
+            ``fallback="interpret"`` warns and runs ``"quiescent"``.
         transport: Optional transport factory ``(nodes, result, model,
             n, fast) -> Transport``; ``None`` builds the default
             :class:`~repro.simulator.transport.LocalTransport`.  The
@@ -195,26 +178,20 @@ class SyncEngine:
         fallback: Optional[str] = None,
         transport: Optional[TransportFactory] = None,
     ) -> None:
-        if on_round_limit not in ("raise", "partial"):
-            raise ValueError(
-                f"on_round_limit must be 'raise' or 'partial', got {on_round_limit!r}"
-            )
-        if schedule not in SCHEDULERS:
-            known = ", ".join(repr(name) for name in SCHEDULERS)
-            raise ValueError(f"schedule must be one of {known}, got {schedule!r}")
-        if phi < 0:
-            raise ValueError(f"phi must be non-negative, got {phi}")
-        if (phi or send_timeout is not None) and schedule != "async":
-            raise ValueError(
-                "phi= and send_timeout= belong to the asynchronous model; "
-                f"pass schedule='async' (got schedule={schedule!r})"
-            )
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-        if fallback not in (None, "interpret"):
-            raise ValueError(
-                f"fallback must be None or 'interpret', got {fallback!r}"
-            )
+        check_policy(
+            schedule, phi=phi, send_timeout=send_timeout, deadline_s=deadline_s,
+            fallback=fallback, on_round_limit=on_round_limit,
+        )
+        verdict = decide(
+            schedule,
+            shard="edgecut" if getattr(graph, "is_edgecut", False) else None,
+            faults=faults is not None,
+            trace=bool(sinks) or trace is not None,
+            profile=profile not in (None, False),
+            fallback=fallback,
+            strict=True,
+        ).enact()
+        schedule, fallback = verdict.schedule, verdict.fallback
         self.graph = graph
         self.model = model
         self.trace = trace
@@ -227,7 +204,9 @@ class SyncEngine:
             if self.obs.profile is None
             else PhaseClock(self.obs.profile, self)
         )
-        self.max_rounds = max_rounds if max_rounds is not None else 8 * graph.n + 64
+        self.max_rounds = (
+            max_rounds if max_rounds is not None else default_round_budget(graph.n)
+        )
         self.on_round_limit = on_round_limit
         self.fast = fast
         self.schedule = schedule
@@ -240,10 +219,6 @@ class SyncEngine:
         #: The scheduling stage: which nodes run a round, and the
         #: compose/deliver/process drive.
         self._scheduler = SCHEDULERS[schedule]()
-        if self.obs.profile is not None and not self._scheduler.supports_profile:
-            raise ValueError(
-                f"profiling is not supported with schedule={schedule!r}"
-            )
         self._seed = seed
         #: The run's result record, shared with transport and interposer.
         self.result = RunResult(model=model)
@@ -263,15 +238,13 @@ class SyncEngine:
         self._program_source = programs
 
         #: The compiled whole-frontier kernel when this run executes
-        #: under ``schedule="vectorized"``, else ``None``.  Resolving it
-        #: is the capability handshake: runs the kernels cannot
-        #: reproduce bit-identically (faults, sinks, unregistered
-        #: program families, per-node mappings) raise
-        #: ``UnsupportedScheduleError`` here — or, under
-        #: ``fallback="interpret"``, warn and downgrade to the
-        #: interpreted quiescent schedule, which accepts any program.
+        #: under ``schedule="vectorized"``, else ``None``.  The capability
+        #: table has already refused (or downgraded) the run features the
+        #: kernels cannot reproduce; what is left is the program-family
+        #: probe, which under ``fallback="interpret"`` downgrades to the
+        #: interpreted quiescent schedule instead of raising.
         self._kernel = None
-        if self._scheduler.uses_kernels:
+        if SCHEDULES[schedule]["kernels"]:
             from repro.kernels import UnsupportedScheduleError, resolve_kernel
 
             try:
@@ -279,13 +252,7 @@ class SyncEngine:
             except UnsupportedScheduleError as exc:
                 if fallback != "interpret":
                     raise
-                warnings.warn(
-                    f"schedule='vectorized' cannot run this instance "
-                    f"({exc}); falling back to the interpreted "
-                    f"'quiescent' schedule",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                warnings.warn(fall_back(str(exc)), RuntimeWarning, stacklevel=2)
                 self.schedule = schedule = "quiescent"
                 self._scheduler = SCHEDULERS[schedule]()
 
@@ -461,10 +428,10 @@ class SyncEngine:
         """Cut every stage's back-reference to this engine.
 
         The stages hold the engine as ``rt``, which makes the whole
-        per-run object graph cyclic.  An owner that is done with the
-        engine (``repro.core.runner.run``, the edge-cut shard driver)
-        calls this so reference counting frees the graph as soon as the
-        owner drops the engine, without a full cyclic collection.  A
+        per-run object graph cyclic.  The owner that is done with the
+        engine (``repro.core.runner.run_engine``) calls this so reference
+        counting frees the graph as soon as it drops the engine, without
+        a full cyclic collection.  A
         stage added with an ``rt`` handle must be cut here too.  The
         engine cannot run again afterwards; ``result`` stays valid.
         """

@@ -14,7 +14,8 @@ The ``run_begin`` meta names the run's transport stage (``"transport"``:
 for an edge-cut shard exchanging cut-crossing messages), so sinks can
 tell shard-local streams apart from whole-graph ones.  Note that sweep
 cells requesting structured events or traces are executed unsharded
-(:func:`~repro.shard.plan.shard_mode` returns ``None`` for them) — a
+(the capability table, :mod:`repro.simulator.capability`, downgrades
+them) — a
 ``BoundaryTransport`` stream only appears when a sink is attached to a
 shard engine directly.
 """

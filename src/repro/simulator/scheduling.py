@@ -32,8 +32,10 @@ PhaseClock`, or a shared do-nothing clock when the run is not profiled),
 so a profiled run is the same run, timed.
 
 Writing a new scheduler means subclassing :class:`Scheduler`, implementing
-``run_round`` (calling the phase clock, or setting ``supports_profile =
-False``), and wiring the wake hooks (``note_setup``, ``on_delivery``
+``run_round`` (calling the phase clock), registering it in
+:data:`SCHEDULERS` and giving it a row in the capability table
+(:mod:`repro.simulator.capability`, which says whether it profiles), and
+wiring the wake hooks (``note_setup``, ``on_delivery``
 bookkeeping, ``on_terminated``/``on_crashed``/``on_recovered``) if the
 policy needs per-round wake state; see docs/ARCHITECTURE.md.
 """
@@ -82,11 +84,12 @@ class Scheduler:
     constitute wake conditions; the eager policy leaves them as no-ops so
     the default hot path carries no wake bookkeeping at all.
 
+    What a policy can run alongside (profiling, shards, faults, sinks) is
+    not declared here but in the capability table
+    (:mod:`repro.simulator.capability`), which refuses unsupported
+    combinations before an engine exists.
+
     Attributes:
-        tracks_wakes: Whether the policy maintains wake-set state.
-        supports_profile: Whether :meth:`run_round` reports its phases
-            to the phase clock (runs with ``profile=True`` are refused
-            otherwise).
         processed_last_round: Nodes the last executed round actually
             processed (``None`` means every active node) — keeps
             stuck-report inbox snapshots identical across schedules.
@@ -94,41 +97,16 @@ class Scheduler:
             that nothing observable can ever happen again (only the
             async policy ever sets it); the engine turns it into a
             partial result instead of spinning to the round budget.
-        is_async: Whether the policy implements the asynchronous model
-            (and therefore honors ``phi``/``send_timeout``).
         handles_setup: Whether the policy runs round 0 itself via
             :meth:`run_setup` instead of the engine's per-node loop.
-        uses_kernels: Whether the policy executes compiled
-            whole-frontier kernels (:mod:`repro.kernels`) — the engine
-            performs the kernel-capability handshake for such policies.
     """
 
-    tracks_wakes = False
-    supports_profile = True
     quiesced = False
-    is_async = False
     handles_setup = False
-    uses_kernels = False
 
     def __init__(self) -> None:
         self.rt: Any = None
         self.processed_last_round: Optional[set] = None
-
-    @classmethod
-    def capabilities(cls) -> Dict[str, Any]:
-        """Introspectable capability record (see :func:`repro.schedules`)."""
-        if cls.uses_kernels:
-            from repro.kernels import available_kernels
-
-            kernels: Tuple[str, ...] = available_kernels()
-        else:
-            kernels = ()
-        return {
-            "quiescence": cls.tracks_wakes,
-            "async": cls.is_async,
-            "profile": cls.supports_profile,
-            "kernels": kernels,
-        }
 
     def bind(self, rt: Any) -> None:
         """Attach the runtime (the engine) this scheduler drives."""
@@ -274,8 +252,6 @@ class QuiescentScheduler(Scheduler):
     (and the next round's wake-set) even if they were asleep, exactly
     as the eager path would have processed them.
     """
-
-    tracks_wakes = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -458,8 +434,6 @@ class QuiescentDebugScheduler(QuiescentScheduler):
     :class:`QuiescenceViolation`.
     """
 
-    supports_profile = False
-
     def run_round(self, round_index: int) -> None:
         rt = self.rt
         rt.apply_recoveries(round_index)
@@ -575,9 +549,6 @@ class AsyncScheduler(QuiescentScheduler):
     differentially).  Profiling is unsupported: with messages in flight
     the compose/deliver phase split of a tick is not well-defined.
     """
-
-    supports_profile = False
-    is_async = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -793,11 +764,11 @@ class VectorizedScheduler(Scheduler):
     Instead of interpreting compose/deliver/process per node, every
     round executes as NumPy array operations over the run's CSR buffers
     — one :class:`~repro.kernels.base.FrontierKernel` per algorithm
-    family, resolved by the engine's capability handshake at
-    construction time (unsupported runs raise
-    :class:`~repro.kernels.UnsupportedScheduleError` there, or fall
-    back to the interpreted quiescent schedule under
-    ``fallback="interpret"``).
+    family, chosen at engine construction by the program-family probe
+    after the capability table has refused the run features kernels
+    cannot reproduce (unsupported runs raise
+    :class:`~repro.kernels.UnsupportedScheduleError`, or fall back to
+    the interpreted quiescent schedule under ``fallback="interpret"``).
 
     The kernel keeps the engine's ``_active`` set, result counters and
     per-node records bit-identical to the interpreted schedules
@@ -807,7 +778,6 @@ class VectorizedScheduler(Scheduler):
     """
 
     handles_setup = True
-    uses_kernels = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -847,14 +817,3 @@ SCHEDULERS = {
     "vectorized": VectorizedScheduler,
 }
 
-
-def schedule_capabilities() -> Dict[str, Dict[str, Any]]:
-    """Name -> capability record for every registered schedule.
-
-    The single source of truth behind :func:`repro.schedules` and the
-    CLI's ``--schedule`` choices: a scheduler registered here is
-    immediately selectable everywhere, with its capabilities
-    (quiescence tracking, asynchrony, profiling support, compiled
-    kernel availability) introspectable instead of hand-maintained.
-    """
-    return {name: cls.capabilities() for name, cls in SCHEDULERS.items()}

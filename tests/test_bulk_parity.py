@@ -5,7 +5,9 @@ Graph construction ends in one trusted constructor
 (:meth:`CSRTopology.from_rows`); the networkx generators, the Prüfer and
 preorder trees, ``subgraph()`` and ``apply_batch`` feed it rows directly
 instead of re-validating a dict of sets.  MIS verification is set
-algebra over the 1-nodes' CSR rows, and η₁ counts error components with
+algebra over the 1-nodes' CSR rows (matching and coloring verification
+likewise, walking neighbor sets only for violators), and η₁ counts error
+components with
 a masked traversal of the parent CSR instead of building a subgraph.  Each test here keeps the previous per-node
 implementation as a reference and asserts the new path is identical to
 it: the same CSR bytes, the same violation messages in the same order,
@@ -41,7 +43,9 @@ from repro.graphs import (
 )
 from repro.predictions import noisy_predictions
 from repro.problems import PROBLEMS
+from repro.problems.matching import MATCHING, UNMATCHED
 from repro.problems.mis import MIS
+from repro.problems.vertex_coloring import VERTEX_COLORING
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +187,49 @@ def reference_verify_partial(graph, outputs):
             other in chosen for other in csr.neighbor_ids(node)
         ):
             problems.append(f"node {node} output 0 without a decided 1-neighbor")
+    return problems
+
+
+def reference_matching_consistency(graph, outputs):
+    """The per-node matching scan (neighbor frozensets, in their order)."""
+    problems = []
+    for node, value in sorted(outputs.items()):
+        if value == UNMATCHED:
+            continue
+        if value not in graph.neighbors(node):
+            problems.append(f"node {node} matched to non-neighbor {value!r}")
+            continue
+        partner_value = outputs.get(value)
+        if partner_value != node:
+            problems.append(
+                f"match {node}->{value} not reciprocated "
+                f"(partner output {partner_value!r})"
+            )
+    for node, value in sorted(outputs.items()):
+        if value != UNMATCHED:
+            continue
+        for other in graph.neighbors(node):
+            if other in outputs and outputs[other] == UNMATCHED and other > node:
+                problems.append(f"adjacent unmatched nodes {node} and {other}")
+    return problems
+
+
+def reference_coloring_partial(graph, outputs):
+    """The per-node coloring scan (neighbor frozensets, in their order)."""
+    problems = []
+    palette_size = graph.delta + 1
+    for node, color in sorted(outputs.items()):
+        if not isinstance(color, int) or not 1 <= color <= palette_size:
+            problems.append(
+                f"node {node} output {color!r}, expected a color in "
+                f"1..{palette_size}"
+            )
+    for node, color in sorted(outputs.items()):
+        for other in graph.neighbors(node):
+            if other > node and outputs.get(other) == color:
+                problems.append(
+                    f"adjacent nodes {node} and {other} share color {color}"
+                )
     return problems
 
 
@@ -393,6 +440,117 @@ class TestMISVerification:
             "node 5 output 7, expected 0 or 1",
             "adjacent nodes 1 and 2 both output 1",
             "node 6 output 0 without a decided 1-neighbor",
+        ]
+
+
+def damage_matching(outputs, nodes, rng):
+    """Unmatch, rewire, drop and corrupt some partners."""
+    damaged = {}
+    for node, value in outputs.items():
+        roll = rng.random()
+        if roll < 0.1:
+            damaged[node] = UNMATCHED
+        elif roll < 0.2:
+            damaged[node] = rng.choice(nodes)
+        elif roll < 0.25:
+            continue
+        elif roll < 0.28:
+            damaged[node] = rng.choice([None, "x", -1, 1.0, True])
+        else:
+            damaged[node] = value
+    return damaged
+
+
+def damage_coloring(outputs, palette, rng):
+    """Recolor, drop and corrupt some colors."""
+    damaged = {}
+    for node, value in outputs.items():
+        roll = rng.random()
+        if roll < 0.2:
+            damaged[node] = rng.randint(1, palette)
+        elif roll < 0.25:
+            continue
+        elif roll < 0.28:
+            damaged[node] = rng.choice([0, palette + 1, None, "x", 1.0, True])
+        else:
+            damaged[node] = value
+    return damaged
+
+
+def shuffled(outputs, rng):
+    keys = list(outputs)
+    rng.shuffle(keys)
+    return {node: outputs[node] for node in keys}
+
+
+class TestMatchingAndColoringVerification:
+    """Matching and coloring verification run on CSR rows; the violation
+    lists equal the per-node frozenset scans they replaced, order
+    included (frozensets do not iterate in ascending order)."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matching_violations_match_the_per_node_scan(self, seed):
+        rng = random.Random(seed)
+        graph = erdos_renyi(rng.randint(1, 40), rng.random() * 0.3, seed=seed)
+        outputs = MATCHING.solve_sequential(graph)
+        outputs = shuffled(damage_matching(outputs, list(graph.nodes), rng), rng)
+        assert MATCHING.verify_partial(
+            graph, outputs
+        ) == reference_matching_consistency(graph, outputs)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_coloring_violations_match_the_per_node_scan(self, seed):
+        rng = random.Random(seed)
+        graph = erdos_renyi(rng.randint(1, 40), rng.random() * 0.3, seed=seed)
+        outputs = VERTEX_COLORING.solve_sequential(graph)
+        outputs = damage_coloring(outputs, graph.delta + 1, rng)
+        outputs = shuffled(outputs, rng)
+        assert VERTEX_COLORING.verify_partial(
+            graph, outputs
+        ) == reference_coloring_partial(graph, outputs)
+
+    def test_order_follows_the_neighbor_sets_not_the_ids(self):
+        # Node 2's neighbors {3, 10} iterate as 10, 3 in a frozenset.
+        graph = DistGraph({2: {3, 10}, 3: {2}, 10: {2}})
+        assert list(graph.neighbors(2)) == [10, 3]
+        matching = {2: UNMATCHED, 3: UNMATCHED, 10: UNMATCHED}
+        expected = reference_matching_consistency(graph, matching)
+        assert MATCHING.verify_partial(graph, matching) == expected
+        assert expected == [
+            "adjacent unmatched nodes 2 and 10",
+            "adjacent unmatched nodes 2 and 3",
+        ]
+        colors = {10: 1, 3: 1, 2: 1}
+        expected = reference_coloring_partial(graph, colors)
+        assert VERTEX_COLORING.verify_partial(graph, colors) == expected
+        assert expected == [
+            "adjacent nodes 2 and 10 share color 1",
+            "adjacent nodes 2 and 3 share color 1",
+        ]
+
+    def test_a_node_without_output_reads_as_color_none(self):
+        graph = grid2d(2, 3)  # 1-2-3 / 4-5-6
+        colors = {1: None, 2: 1, 3: 2, 4: None, 6: 3}  # 5 has no output
+        expected = reference_coloring_partial(graph, colors)
+        assert VERTEX_COLORING.verify_partial(graph, colors) == expected
+        assert expected == [
+            "node 1 output None, expected a color in 1..4",
+            "node 4 output None, expected a color in 1..4",
+            "adjacent nodes 1 and 4 share color None",
+            "adjacent nodes 4 and 5 share color None",
+        ]
+
+    def test_every_kind_of_matching_violation_in_order(self):
+        graph = grid2d(2, 3)  # 1-2-3 / 4-5-6
+        outputs = {6: UNMATCHED, 1: 2, 2: 5, 3: UNMATCHED, 5: 2, 4: 6}
+        expected = reference_matching_consistency(graph, outputs)
+        assert MATCHING.verify_partial(graph, outputs) == expected
+        assert expected == [
+            "match 1->2 not reciprocated (partner output 5)",
+            "node 4 matched to non-neighbor 6",
+            "adjacent unmatched nodes 3 and 6",
         ]
 
 

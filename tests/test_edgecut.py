@@ -337,10 +337,6 @@ class TestGuards:
         with pytest.raises(ValueError, match="shard"):
             ExecutionPolicy(shard="edges")
 
-    def test_policy_rejects_async_edgecut(self):
-        with pytest.raises(ValueError, match="async"):
-            ExecutionPolicy(schedule="async", shard="edgecut")
-
     def test_shard_count_below_two_rejected(self):
         graph = _fuzz_graph(51, n=20)
         with pytest.raises(ValueError, match="shard"):

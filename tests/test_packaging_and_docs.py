@@ -14,6 +14,52 @@ import repro
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def support_table():
+    """docs/API.md's support table, rendered from the capability table:
+    one row per request (two shards unless the row says otherwise), one
+    column per schedule, ``vectorized`` without and with
+    ``fallback="interpret"``."""
+    from repro.simulator.capability import FEATURES, SCHEDULES, SHARD_MODES, decide
+
+    requests = [("plain", {})] + [
+        (f"`{name}`", {name: True}) for name in ("faults", "trace", "profile")
+    ]
+    for mode, minimum in SHARD_MODES.items():
+        requests.append((f"`shard={mode}`", {"shard": mode}))
+        if minimum > 1:
+            requests.append((f"`shard={mode}`, 1 shard", {"shard": mode, "shard_count": 1}))
+        requests += [
+            (f"`shard={mode}` + `{name}`", {"shard": mode, name: True})
+            for name in FEATURES
+        ]
+    columns = [
+        (name, fallback)
+        for name, row in SCHEDULES.items()
+        for fallback in ((None, "interpret") if row["kernels"] else (None,))
+    ]
+
+    def text(verdict, schedule, request):
+        if verdict.action == "refuse":
+            return f"refuse: `{verdict.error.__name__}`"
+        runs = [verdict.schedule] if verdict.schedule != schedule else []
+        if verdict.shard != request.get("shard"):
+            runs.append("unsharded")
+        return "downgrade: " + ", ".join(runs) if runs else "run"
+
+    header = " | ".join(
+        f"`{name}`" + ("" if fallback is None else " + `fallback`")
+        for name, fallback in columns
+    )
+    lines = [f"| request | {header} |", "|---" * (len(columns) + 1) + "|"]
+    for label, request in requests:
+        cells = [
+            text(decide(name, fallback=fallback, **request), name, request)
+            for name, fallback in columns
+        ]
+        lines.append(f"| {label} | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 def all_repro_modules():
     package_dir = pathlib.Path(repro.__file__).parent
     names = ["repro"]
@@ -119,6 +165,11 @@ class TestDocumentation:
             path = REPO_ROOT / filename
             assert path.is_file(), filename
             assert len(path.read_text()) > 1000, filename
+
+    def test_api_support_table_is_the_capability_table(self):
+        table = support_table()
+        api = (REPO_ROOT / "docs" / "API.md").read_text()
+        assert table in api, "docs/API.md's support table is stale:\n" + table
 
     def test_design_lists_every_experiment_bench(self):
         design = (REPO_ROOT / "DESIGN.md").read_text()

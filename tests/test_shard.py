@@ -11,13 +11,13 @@ import pytest
 from repro.core import RunConfig
 from repro.core.runner import ExecutionPolicy
 from repro.exec import ArtifactCache, FaultSpec, GraphSpec, Sweep
+from repro.exec.backends import _decided
 from repro.graphs import DistGraph, path_forest, ring
 from repro.graphs.csr import plain_reduce
 from repro.shard import (
     SharedCSRStore,
     SharedCSRStoreError,
     attach_csr,
-    shard_mode,
     shard_node_ids,
     shard_view,
 )
@@ -268,7 +268,8 @@ class TestShardPlan:
         assert clone.delta == forest.delta
 
     def test_shard_mode_gates_whole_graph_features(self, forest):
-        def cell_for(**kwargs):
+        def shard_mode(profile=False, events=False, **kwargs):
+            """The shard mode the sweep decides for one cell."""
             sweep = Sweep()
             sweep.add(
                 "c",
@@ -277,20 +278,17 @@ class TestShardPlan:
                 policy=ExecutionPolicy(shard="components"),
                 **kwargs,
             )
-            return sweep.cells[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                [(_, cell, _)] = _decided(sweep, profile, events, 3)
+            return cell.config.policy.shard
 
-        plain = cell_for()
-        assert shard_mode(plain) == "components"
-        assert shard_mode(plain, profile=True) is None
-        assert shard_mode(plain, events=True) is None
-        faulted = cell_for(faults=FaultSpec.of("random_crash_plan", 0.2, seed=1))
-        assert shard_mode(faulted) is None
-        metered = cell_for(metrics=lambda **kw: {})
-        assert shard_mode(metered) is None
-
-    def test_async_schedule_rejects_sharding(self):
-        with pytest.raises(ValueError, match="async"):
-            ExecutionPolicy(schedule="async", shard="components")
+        assert shard_mode() == "components"
+        assert shard_mode(profile=True) is None
+        assert shard_mode(events=True) is None
+        faulted = FaultSpec.of("random_crash_plan", 0.2, seed=1)
+        assert shard_mode(faults=faulted) is None
+        assert shard_mode(metrics=lambda **kw: {}) is None
 
     def test_unknown_shard_mode_rejected(self):
         with pytest.raises(ValueError, match="shard"):
